@@ -432,7 +432,7 @@ pub struct ActivityDelta {
 
 /// Incremental re-analysis of the MPI-ICFG: seed both fixpoint phases from
 /// a previous [`ActivityResult`] (which must have been produced by a
-/// converged region-parallel solve, so its solutions carry seed regions)
+/// converged region-engine solve, so its solutions carry seed regions)
 /// and force-dirty `dirty` nodes of the *new* graph. The result is
 /// byte-identical to [`analyze_mpi_with`] on the same graph; only regions
 /// invalidated by the edit re-solve. Errors — no seed regions, direction
@@ -504,12 +504,10 @@ pub fn analyze_mpi_delta(
 
 /// Demand-driven activity at one statement: which locations are active at
 /// the program point(s) of the nodes in `at`? Solves only the region slices
-/// that can influence those nodes — no whole-program fixpoint. The demand
-/// engine is sequential, so the strategy is pinned to [`Strategy::Worklist`]
-/// regardless of `params` (a region-parallel strategy would be a typed
-/// [`SolverConfigError`](mpi_dfa_core::solver::SolverConfigError) at the
-/// core API); the answer agrees exactly with the full analysis restricted
-/// to the slice.
+/// that can influence those nodes — no whole-program fixpoint. Demand
+/// slices always run on the region engine, whatever `params.strategy`
+/// says; the answer agrees exactly with the full analysis restricted to
+/// the slice.
 pub fn demand_active_at(
     mpi: &MpiIcfg,
     config: &ActivityConfig,
@@ -521,9 +519,6 @@ pub fn demand_active_at(
     if at.is_empty() {
         return Err("demand query names no nodes".into());
     }
-    let mut params = params.clone();
-    params.strategy = mpi_dfa_core::solver::Strategy::Worklist;
-    let params = &params;
     let (vary_p, useful_p) = vary_useful_problems(icfg, Mode::MpiIcfg, config)?;
     fn run_phase<P: Dataflow<Fact = VarSet>>(
         problem: &P,
@@ -601,7 +596,7 @@ pub struct DemandActivity {
     pub nodes_visited: u64,
 }
 
-fn analyze_over<G: FlowGraph + Sync>(
+fn analyze_over<G: FlowGraph>(
     graph: &G,
     icfg: &Icfg,
     mode: Mode,
@@ -1335,9 +1330,9 @@ mod incremental_tests {
           out = y + 1.0;\n\
         }";
 
-    fn rp_params() -> SolveParams {
+    fn region_params() -> SolveParams {
         SolveParams {
-            strategy: Strategy::RegionParallel { threads: 2 },
+            strategy: Strategy::Region,
             ..SolveParams::default()
         }
     }
@@ -1359,13 +1354,16 @@ mod incremental_tests {
     fn delta_after_print_edit_matches_cold_solve_byte_for_byte() {
         let cfg = ActivityConfig::new(["x"], ["out"]);
         let old = mpi_of(BASE);
-        let prev = analyze_mpi_with(&old, &cfg, &rp_params()).unwrap();
-        assert!(prev.vary.regions.is_some(), "region-parallel captures seed");
+        let prev = analyze_mpi_with(&old, &cfg, &region_params()).unwrap();
+        assert!(
+            prev.vary.regions.is_some(),
+            "the region engine captures a seed"
+        );
 
         let new = mpi_of(EDITED);
         let dirty = proc_nodes(&new, "work");
-        let delta = analyze_mpi_delta(&new, &cfg, &rp_params(), &prev, &dirty).unwrap();
-        let cold = analyze_mpi_with(&new, &cfg, &rp_params()).unwrap();
+        let delta = analyze_mpi_delta(&new, &cfg, &region_params(), &prev, &dirty).unwrap();
+        let cold = analyze_mpi_with(&new, &cfg, &region_params()).unwrap();
 
         assert_eq!(delta.result.vary.input, cold.vary.input);
         assert_eq!(delta.result.vary.output, cold.vary.output);
@@ -1384,8 +1382,8 @@ mod incremental_tests {
     fn delta_identity_edit_reuses_every_region() {
         let cfg = ActivityConfig::new(["x"], ["out"]);
         let mpi = mpi_of(BASE);
-        let prev = analyze_mpi_with(&mpi, &cfg, &rp_params()).unwrap();
-        let delta = analyze_mpi_delta(&mpi, &cfg, &rp_params(), &prev, &[]).unwrap();
+        let prev = analyze_mpi_with(&mpi, &cfg, &region_params()).unwrap();
+        let delta = analyze_mpi_delta(&mpi, &cfg, &region_params(), &prev, &[]).unwrap();
         assert_eq!(delta.regions_resolved, 0);
         assert_eq!(delta.regions_reused, delta.regions_total);
         assert_eq!(delta.result.active, prev.active);
@@ -1395,17 +1393,17 @@ mod incremental_tests {
     fn delta_without_seed_regions_is_a_clean_error() {
         let cfg = ActivityConfig::new(["x"], ["out"]);
         let mpi = mpi_of(BASE);
-        // A worklist solve never captures seed regions.
+        // A round-robin solve never captures seed regions.
         let prev = analyze_mpi_with(
             &mpi,
             &cfg,
             &SolveParams {
-                strategy: Strategy::Worklist,
+                strategy: Strategy::RoundRobin,
                 ..SolveParams::default()
             },
         )
         .unwrap();
-        let err = analyze_mpi_delta(&mpi, &cfg, &rp_params(), &prev, &[]).unwrap_err();
+        let err = analyze_mpi_delta(&mpi, &cfg, &region_params(), &prev, &[]).unwrap_err();
         assert!(err.contains("seed"), "{err}");
     }
 
@@ -1437,7 +1435,7 @@ mod incremental_tests {
             &mpi,
             &cfg,
             &SolveParams {
-                strategy: Strategy::Worklist,
+                strategy: Strategy::RoundRobin,
                 ..SolveParams::default()
             },
         )

@@ -329,7 +329,7 @@ impl BitwidthResult {
 
 /// Run bitwidth analysis over `graph` (ICFG for [`WidthMode::Conservative`],
 /// MPI-ICFG for [`WidthMode::MpiIcfg`]).
-pub fn analyze<G: FlowGraph + Sync>(graph: &G, icfg: &Icfg, mode: WidthMode) -> BitwidthResult {
+pub fn analyze<G: FlowGraph>(graph: &G, icfg: &Icfg, mode: WidthMode) -> BitwidthResult {
     let problem = Bitwidth::new(icfg, mode);
     let solution = Solver::new(&problem, graph).run();
     let mut max_width = vec![0u8; icfg.ir.locs.len()];

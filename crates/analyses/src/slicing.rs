@@ -147,11 +147,7 @@ impl Dataflow for Influence<'_> {
 ///
 /// `graph` may be the plain ICFG (no communication modeling — reproduces
 /// the paper's "erroneous result") or the MPI-ICFG.
-pub fn forward_slice<G: FlowGraph + Sync>(
-    graph: &G,
-    icfg: &Icfg,
-    seed: StmtId,
-) -> BTreeSet<StmtId> {
+pub fn forward_slice<G: FlowGraph>(graph: &G, icfg: &Icfg, seed: StmtId) -> BTreeSet<StmtId> {
     let seeds: Vec<NodeId> = icfg
         .nodes()
         .filter(|&n| icfg.payload(n).stmt == Some(seed))

@@ -9,22 +9,21 @@
 //! * **demand**: an activity-at-location query at the context entry must
 //!   perform **< 25% of the node visits** of the full fixpoint. The
 //!   comparator is the round-robin sweep — the classic whole-program
-//!   iterative fixpoint the demand mode exists to avoid; the worklist
-//!   ratio is also published in the JSON.
+//!   iterative fixpoint the demand mode exists to avoid; the ratio to the
+//!   region engine's full fixpoint is also published in the JSON.
 //!
 //! Neither number is a timing: region counts and node visits are exact,
 //! deterministic quantities, so the floors cannot flake with machine load.
 //!
 //! Around the floors, a cross-mode **byte-identity sweep** runs over every
 //! Table 1 experiment row plus three generated programs: the cold solve of
-//! the edited program is asserted fact-identical across every strategy and
-//! region-parallel thread count {1, 2, 4, 8}; the seeded incremental
-//! re-solve is asserted identical to the cold solve at the same thread
-//! count **including counters** (facts, active set, ActiveBytes, pass
-//! counts, node visits — transplanted regions carry their original solve's
-//! stats); and each demand query must agree with the full solution at the
-//! queried node while holding only slice facts elsewhere (equal-or-bottom
-//! at every node).
+//! the edited program is asserted fact-identical across both engines; the
+//! seeded incremental re-solve is asserted identical to the cold
+//! region-engine solve **including counters** (facts, active set,
+//! ActiveBytes, pass counts, node visits — transplanted regions carry their
+//! original solve's stats); and each demand query must agree with the full
+//! solution at the queried node while holding only slice facts elsewhere
+//! (equal-or-bottom at every node).
 //!
 //! The final line is a machine-readable JSON summary; the checked-in
 //! `BENCH_incremental.json` baseline is exactly that line.
@@ -124,22 +123,9 @@ fn subjects() -> Vec<Subject> {
     v
 }
 
-fn strategies() -> Vec<(&'static str, Strategy)> {
-    vec![
-        ("round_robin", Strategy::RoundRobin),
-        ("worklist", Strategy::Worklist),
-        ("region_parallel_1", Strategy::RegionParallel { threads: 1 }),
-        ("region_parallel_2", Strategy::RegionParallel { threads: 2 }),
-        ("region_parallel_4", Strategy::RegionParallel { threads: 4 }),
-        ("region_parallel_8", Strategy::RegionParallel { threads: 8 }),
-    ]
-}
-
-const RP_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Fact-level byte identity — what every strategy must agree on. Pass
+/// Fact-level byte identity — what both engines must agree on. Pass
 /// counts and visit counters are iteration-scheme observability, not
-/// semantics, so they are *not* compared across strategies.
+/// semantics, so they are *not* compared across engines.
 fn assert_same_facts(label: &str, got: &ActivityResult, want: &ActivityResult) {
     assert_eq!(got.vary.input, want.vary.input, "{label}: vary IN facts");
     assert_eq!(got.vary.output, want.vary.output, "{label}: vary OUT facts");
@@ -157,7 +143,7 @@ fn assert_same_facts(label: &str, got: &ActivityResult, want: &ActivityResult) {
 
 /// Full byte identity: facts plus the deterministic counters. Holds
 /// between a seeded incremental re-solve and a cold solve under the
-/// *same* strategy — transplanted regions carry their original solve's
+/// region engine — transplanted regions carry their original solve's
 /// stats, so even `node_visits` matches exactly.
 fn assert_identical(label: &str, got: &ActivityResult, want: &ActivityResult) {
     assert_same_facts(label, got, want);
@@ -249,51 +235,33 @@ fn sweep_subject(s: &Subject) -> (usize, usize) {
         .icfg()
         .nodes_of_procs(&dirty_procs(&base_ir, &edit_ir));
 
-    // Cold reference on the edited program, then every strategy and thread
-    // count against it.
+    // Cold round-robin reference on the edited program; the cold region
+    // solve must hold the same facts.
     let reference =
-        analyze_mpi_with(&edit_mpi, &s.config, &params(Strategy::Worklist)).expect("reference");
+        analyze_mpi_with(&edit_mpi, &s.config, &params(Strategy::RoundRobin)).expect("reference");
     assert!(reference.converged(), "{}: reference converged", s.label);
-    let mut cold_by_threads = Vec::new();
-    for (name, strategy) in strategies() {
-        let cold = analyze_mpi_with(&edit_mpi, &s.config, &params(strategy)).expect("cold solve");
-        assert_same_facts(&format!("{} cold {name}", s.label), &cold, &reference);
-        if let Strategy::RegionParallel { threads } = strategy {
-            cold_by_threads.push((threads, cold));
-        }
-    }
+    let region = params(Strategy::Region);
+    let cold = analyze_mpi_with(&edit_mpi, &s.config, &region).expect("cold solve");
+    assert_same_facts(&format!("{} cold region", s.label), &cold, &reference);
 
-    // Seeded incremental re-solve at every thread count: byte-identical to
-    // the cold solve at the same thread count (hence to every strategy).
-    let mut incremental_checks = 0;
-    for threads in RP_THREADS {
-        let rp = params(Strategy::RegionParallel { threads });
-        let prev = analyze_mpi_with(&base_mpi, &s.config, &rp).expect("base solve");
-        assert!(
-            prev.vary.regions.is_some(),
-            "{}: region-parallel base solve captures a seed",
-            s.label
-        );
-        let delta =
-            analyze_mpi_delta(&edit_mpi, &s.config, &rp, &prev, &dirty).expect("seeded re-solve");
-        let cold = &cold_by_threads
-            .iter()
-            .find(|(t, _)| *t == threads)
-            .expect("cold solve at this thread count")
-            .1;
-        assert_identical(
-            &format!("{} incremental rp{threads}", s.label),
-            &delta.result,
-            cold,
-        );
-        assert_eq!(
-            delta.regions_reused + delta.regions_resolved,
-            delta.regions_total,
-            "{}: region accounting",
-            s.label
-        );
-        incremental_checks += 1;
-    }
+    // Seeded incremental re-solve: byte-identical to the cold region solve
+    // (hence fact-identical to round-robin).
+    let prev = analyze_mpi_with(&base_mpi, &s.config, &region).expect("base solve");
+    assert!(
+        prev.vary.regions.is_some(),
+        "{}: region-engine base solve captures a seed",
+        s.label
+    );
+    let delta =
+        analyze_mpi_delta(&edit_mpi, &s.config, &region, &prev, &dirty).expect("seeded re-solve");
+    assert_identical(&format!("{} incremental", s.label), &delta.result, &cold);
+    assert_eq!(
+        delta.regions_reused + delta.regions_resolved,
+        delta.regions_total,
+        "{}: region accounting",
+        s.label
+    );
+    let incremental_checks = 1;
 
     // Demand containment at the context entry and the last node of the
     // edited graph (the two slice extremes).
@@ -319,15 +287,15 @@ fn bench_solver_incremental(c: &mut Criterion) {
     let base_src = programs::LU;
     let edited_src = edit_first_proc(base_src);
     let config = ActivityConfig::new(["u"], ["rsd"]);
-    let rp2 = params(Strategy::RegionParallel { threads: 2 });
+    let region = params(Strategy::Region);
     let (base_ir, base_mpi) = graph_of(base_src, "main", 1);
     let (edit_ir, edit_mpi) = graph_of(&edited_src, "main", 1);
     let dirty_names = dirty_procs(&base_ir, &edit_ir);
     let dirty = edit_mpi.icfg().nodes_of_procs(&dirty_names);
     let nodes = base_mpi.num_nodes();
 
-    let prev = analyze_mpi_with(&base_mpi, &config, &rp2).expect("LU base solve");
-    let delta = analyze_mpi_delta(&edit_mpi, &config, &rp2, &prev, &dirty).expect("LU delta");
+    let prev = analyze_mpi_with(&base_mpi, &config, &region).expect("LU base solve");
+    let delta = analyze_mpi_delta(&edit_mpi, &config, &region, &prev, &dirty).expect("LU delta");
     let resolved_fraction = delta.regions_resolved as f64 / delta.regions_total as f64;
     println!(
         "solver_incremental LU edit: dirty procs {dirty_names:?}, resolved {}/{} regions \
@@ -346,23 +314,22 @@ fn bench_solver_incremental(c: &mut Criterion) {
 
     let full_rr = analyze_mpi_with(&base_mpi, &config, &params(Strategy::RoundRobin))
         .expect("LU round-robin fixpoint");
-    let full_wl = analyze_mpi_with(&base_mpi, &config, &params(Strategy::Worklist))
-        .expect("LU worklist fixpoint");
+    let full_region = analyze_mpi_with(&base_mpi, &config, &region).expect("LU region fixpoint");
     let rr_visits = full_rr.vary.stats.node_visits + full_rr.useful.stats.node_visits;
-    let wl_visits = full_wl.vary.stats.node_visits + full_wl.useful.stats.node_visits;
+    let region_visits = full_region.vary.stats.node_visits + full_region.useful.stats.node_visits;
     let entry = base_mpi.icfg().context_entry();
     let q = demand_active_at(&base_mpi, &config, &SolveParams::default(), &[entry])
         .expect("LU demand query");
     let visit_fraction = q.nodes_visited as f64 / rr_visits as f64;
     println!(
         "solver_incremental LU demand@entry: {} visits vs round-robin fixpoint {} \
-         ({:.1}%, ceiling {:.0}%; worklist fixpoint {} => {:.1}%)",
+         ({:.1}%, ceiling {:.0}%; region fixpoint {} => {:.1}%)",
         q.nodes_visited,
         rr_visits,
         visit_fraction * 100.0,
         MAX_DEMAND_VISIT_FRACTION * 100.0,
-        wl_visits,
-        q.nodes_visited as f64 / wl_visits as f64 * 100.0
+        region_visits,
+        q.nodes_visited as f64 / region_visits as f64 * 100.0
     );
     assert!(
         visit_fraction < MAX_DEMAND_VISIT_FRACTION,
@@ -391,11 +358,11 @@ fn bench_solver_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_incremental/lu");
     group.sample_size(10);
     group.bench_function("cold", |b| {
-        b.iter(|| black_box(analyze_mpi_with(&edit_mpi, &config, &rp2).expect("cold")));
+        b.iter(|| black_box(analyze_mpi_with(&edit_mpi, &config, &region).expect("cold")));
     });
     group.bench_function("incremental", |b| {
         b.iter(|| {
-            black_box(analyze_mpi_delta(&edit_mpi, &config, &rp2, &prev, &dirty).expect("delta"))
+            black_box(analyze_mpi_delta(&edit_mpi, &config, &region, &prev, &dirty).expect("delta"))
         });
     });
     group.bench_function("demand", |b| {
@@ -418,10 +385,10 @@ fn bench_solver_incremental(c: &mut Criterion) {
         median_ns(times)
     };
     let cold_ns = time_median(&|| {
-        black_box(analyze_mpi_with(&edit_mpi, &config, &rp2).expect("cold"));
+        black_box(analyze_mpi_with(&edit_mpi, &config, &region).expect("cold"));
     });
     let incremental_ns = time_median(&|| {
-        black_box(analyze_mpi_delta(&edit_mpi, &config, &rp2, &prev, &dirty).expect("delta"));
+        black_box(analyze_mpi_delta(&edit_mpi, &config, &region, &prev, &dirty).expect("delta"));
     });
     let demand_ns = time_median(&|| {
         black_box(
@@ -446,10 +413,10 @@ fn bench_solver_incremental(c: &mut Criterion) {
          \"resolved_fraction\":{rf:.4},\"max_resolved_fraction\":{MAX_RESOLVED_FRACTION}}},\
          \"demand\":{{\"program\":\"lu\",\"at\":\"context_entry\",\"nodes_visited\":{dv},\
          \"full_fixpoint\":\"round_robin\",\"full_fixpoint_visits\":{rrv},\
-         \"worklist_visits\":{wlv},\"visit_fraction\":{vf:.4},\
+         \"region_visits\":{rgv},\"visit_fraction\":{vf:.4},\
          \"max_visit_fraction\":{MAX_DEMAND_VISIT_FRACTION}}},\
-         \"identity\":{{\"programs\":{programs_swept},\"strategies\":6,\
-         \"rp_threads\":[1,2,4,8],\"incremental_checks\":{incremental_checks},\
+         \"identity\":{{\"programs\":{programs_swept},\"strategies\":2,\
+         \"incremental_checks\":{incremental_checks},\
          \"demand_checks\":{demand_checks},\"all_byte_identical\":true}},\
          \"timing_ns\":{{\"cold\":{cold_ns:.0},\"incremental\":{incremental_ns:.0},\
          \"demand\":{demand_ns:.0}}}}}",
@@ -459,7 +426,7 @@ fn bench_solver_incremental(c: &mut Criterion) {
         rf = resolved_fraction,
         dv = q.nodes_visited,
         rrv = rr_visits,
-        wlv = wl_visits,
+        rgv = region_visits,
         vf = visit_fraction,
     );
 }

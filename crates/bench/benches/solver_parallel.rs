@@ -1,22 +1,20 @@
-//! Region-parallel engine speedup — the PR's headline acceptance bar.
+//! Region engine speedup over the round-robin sweep.
 //!
 //! On the largest `suite::gen` multi-procedure program (seed 42,
 //! `GenConfig::scaled(5)` — the top end of the `solver_scaling` sweep) the
-//! region-parallel strategy with ≥4 threads must be **≥1.5× faster
-//! wall-clock than the round-robin sweep**, while producing byte-identical
-//! facts. The win is algorithmic before it is parallel: the condensation
-//! scheduler solves each SCC region to *local* convergence with a priority
-//! worklist and visits downstream regions only after their inputs settle,
-//! so acyclic stretches are evaluated once instead of once per global
-//! pass. Extra threads then overlap independent regions where the graph
-//! shape allows.
+//! sequential region engine must be **≥1.5× faster wall-clock than the
+//! round-robin sweep**, while producing byte-identical facts. The win is
+//! algorithmic: the engine solves each SCC region to *local* convergence
+//! with round-separated dirty sweeps and visits downstream regions only
+//! after their inputs settle, so acyclic stretches are evaluated once
+//! instead of once per global pass, and each comm source's `f_comm` fact
+//! is memoised until its input changes.
 //!
 //! Three problems are timed — reaching constants (forward, nonseparable)
-//! and the Vary/Useful activity pair (both solver directions) — under all
-//! strategies and region-parallel thread counts {1, 2, 4, 8}. Every
-//! strategy's `Solution` is asserted equal to the worklist reference
-//! before its timing is reported, so the numbers can never come from a
-//! wrong fixpoint.
+//! and the Vary/Useful activity pair (both solver directions) — under both
+//! engines. Every region-engine `Solution` is asserted equal to the
+//! round-robin reference before its timing is reported, so the numbers can
+//! never come from a wrong fixpoint.
 //!
 //! The final line is a machine-readable JSON summary; the checked-in
 //! `BENCH_solver.json` baseline is exactly that line.
@@ -34,7 +32,7 @@ use mpi_dfa_suite::gen::{generate, GenConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Asserted floor: region-parallel (≥4 threads) vs the round-robin sweep.
+/// Asserted floor: the region engine vs the round-robin sweep.
 const MIN_SPEEDUP: f64 = 1.5;
 
 /// Timed iterations per (problem, strategy) cell.
@@ -52,16 +50,11 @@ fn graph() -> MpiIcfg {
     build_mpi_icfg(ir, "main", 1, Matching::ReachingConstants).expect("graph")
 }
 
-/// The strategy matrix: both sequential baselines plus region-parallel at
-/// several thread counts (4 is the asserted acceptance point).
+/// The two engines.
 fn strategies() -> Vec<(&'static str, Strategy)> {
     vec![
         ("round_robin", Strategy::RoundRobin),
-        ("worklist", Strategy::Worklist),
-        ("region_parallel_1", Strategy::RegionParallel { threads: 1 }),
-        ("region_parallel_2", Strategy::RegionParallel { threads: 2 }),
-        ("region_parallel_4", Strategy::RegionParallel { threads: 4 }),
-        ("region_parallel_8", Strategy::RegionParallel { threads: 8 }),
+        ("region", Strategy::Region),
     ]
 }
 
@@ -72,15 +65,16 @@ struct Row {
     node_visits: u64,
 }
 
-/// Time every strategy on `problem`, asserting each run reproduces the
-/// worklist reference facts byte for byte.
+/// Time both engines on `problem`, asserting each run reproduces the
+/// round-robin reference facts byte for byte.
 fn time_all<P>(mpi: &MpiIcfg, problem: &P) -> Vec<Row>
 where
-    P: Dataflow + Sync,
-    P::Fact: std::fmt::Debug + PartialEq + Send,
-    P::CommFact: Send,
+    P: Dataflow,
+    P::Fact: std::fmt::Debug + PartialEq,
 {
-    let reference = Solver::new(problem, mpi).strategy(Strategy::Worklist).run();
+    let reference = Solver::new(problem, mpi)
+        .strategy(Strategy::RoundRobin)
+        .run();
     assert!(reference.stats.converged);
     strategies()
         .into_iter()
@@ -94,11 +88,11 @@ where
                 assert!(sol.stats.converged, "{label} must converge");
                 assert_eq!(
                     sol.input, reference.input,
-                    "{label}: IN facts must match the worklist reference"
+                    "{label}: IN facts must match the round-robin reference"
                 );
                 assert_eq!(
                     sol.output, reference.output,
-                    "{label}: OUT facts must match the worklist reference"
+                    "{label}: OUT facts must match the round-robin reference"
                 );
                 node_visits = sol.stats.node_visits;
             }
@@ -140,7 +134,7 @@ fn bench_solver_parallel(c: &mut Criterion) {
     // Precise medians for the baseline JSON + the asserted speedup floor.
     let mut json_problems = Vec::new();
     let mut rr_total = 0.0f64;
-    let mut rp4_total = 0.0f64;
+    let mut region_total = 0.0f64;
     for (name, rows) in [
         ("consts", time_all(&mpi, &consts)),
         ("vary", time_all(&mpi, &vary_p)),
@@ -153,13 +147,12 @@ fn bench_solver_parallel(c: &mut Criterion) {
                 .median_ns
         };
         let rr = ns_of("round_robin");
-        let rp4 = ns_of("region_parallel_4");
+        let region = ns_of("region");
         rr_total += rr;
-        rp4_total += rp4;
+        region_total += region;
         println!(
-            "solver_parallel {name}: round-robin {rr:.0}ns vs region-parallel:4 {rp4:.0}ns \
-             => {:.2}x",
-            rr / rp4
+            "solver_parallel {name}: round-robin {rr:.0}ns vs region {region:.0}ns => {:.2}x",
+            rr / region
         );
         let cells = rows
             .iter()
@@ -172,22 +165,21 @@ fn bench_solver_parallel(c: &mut Criterion) {
             .collect::<Vec<_>>()
             .join(",");
         json_problems.push(format!(
-            "{{\"problem\":\"{name}\",\"speedup_rp4_vs_round_robin\":{:.2},\"strategies\":[{cells}]}}",
-            rr / rp4
+            "{{\"problem\":\"{name}\",\"speedup_region_vs_round_robin\":{:.2},\"strategies\":[{cells}]}}",
+            rr / region
         ));
     }
 
     // The acceptance bar, asserted on the summed medians across all three
     // problems (per-problem ratios are also published in the JSON).
-    let speedup = rr_total / rp4_total;
+    let speedup = rr_total / region_total;
     println!(
-        "solver_parallel aggregate: round-robin {rr_total:.0}ns vs region-parallel:4 \
-         {rp4_total:.0}ns => {speedup:.2}x (floor {MIN_SPEEDUP}x)"
+        "solver_parallel aggregate: round-robin {rr_total:.0}ns vs region \
+         {region_total:.0}ns => {speedup:.2}x (floor {MIN_SPEEDUP}x)"
     );
     assert!(
         speedup >= MIN_SPEEDUP,
-        "region-parallel with 4 threads is only {speedup:.2}x faster than round-robin \
-         (floor {MIN_SPEEDUP}x)"
+        "the region engine is only {speedup:.2}x faster than round-robin (floor {MIN_SPEEDUP}x)"
     );
 
     // Machine-readable baseline — `BENCH_solver.json` is this line.
@@ -195,7 +187,7 @@ fn bench_solver_parallel(c: &mut Criterion) {
         "{{\"bench\":\"solver_parallel\",\"graph\":{{\"generator\":\
          \"gen::GenConfig::scaled(5), seed 42\",\"nodes\":{nodes},\"regions\":{},\
          \"largest_region\":{}}},\"min_speedup\":{MIN_SPEEDUP},\
-         \"aggregate_speedup_rp4_vs_round_robin\":{speedup:.2},\"problems\":[{}]}}",
+         \"aggregate_speedup_region_vs_round_robin\":{speedup:.2},\"problems\":[{}]}}",
         cond.num_regions(),
         cond.largest_region(),
         json_problems.join(","),

@@ -2,8 +2,8 @@
 //!
 //! The paper bounds convergence by graph depth × number of variables and
 //! observes that real iteration counts stay far below the bound. This bench
-//! measures how the two solver strategies scale with generated-program size
-//! and quantifies the round-robin vs worklist gap on a fixed program.
+//! measures how the two solver engines scale with generated-program size
+//! and quantifies the round-robin vs region gap on a fixed program.
 
 use mpi_dfa_analyses::activity::{self, ActivityConfig};
 use mpi_dfa_analyses::consts::ReachingConsts;
@@ -44,20 +44,20 @@ fn bench_scaling(c: &mut Criterion) {
         let p = ReachingConsts::new(mpi.icfg());
         b.iter(|| black_box(Solver::new(&p, &mpi).strategy(Strategy::RoundRobin).run()));
     });
-    group.bench_function("worklist", |b| {
+    group.bench_function("region", |b| {
         let p = ReachingConsts::new(mpi.icfg());
-        b.iter(|| black_box(Solver::new(&p, &mpi).strategy(Strategy::Worklist).run()));
+        b.iter(|| black_box(Solver::new(&p, &mpi).strategy(Strategy::Region).run()));
     });
     group.finish();
 
-    // Budget headroom: both strategies report the same consumption schema
+    // Budget headroom: both engines report the same consumption schema
     // (node visits, comm-edge evaluations, elapsed), so the work-unit cost
     // of a full fixpoint — i.e. the budget a production caller must grant
-    // before the degradation ladder kicks in — can be charted per strategy.
+    // before the degradation ladder kicks in — can be charted per engine.
     let p = ReachingConsts::new(mpi.icfg());
     let rr = Solver::new(&p, &mpi).strategy(Strategy::RoundRobin).run();
-    let wl = Solver::new(&p, &mpi).strategy(Strategy::Worklist).run();
-    for (name, stats) in [("round_robin", &rr.stats), ("worklist", &wl.stats)] {
+    let rg = Solver::new(&p, &mpi).strategy(Strategy::Region).run();
+    for (name, stats) in [("round_robin", &rr.stats), ("region", &rg.stats)] {
         println!(
             "solver_scaling/budget_headroom/{name}: {} node visits, {} comm evals, \
              {} passes, {:?} (converged={})",

@@ -18,12 +18,12 @@
 //! * optional fact translation across call/return edges.
 //!
 //! The [`solver`] module exposes a single builder entry point,
-//! [`solver::Solver`], over three interchangeable [`solver::Strategy`]
-//! values: a round-robin strategy (whose pass count is the paper's "Iter"
-//! statistic), a sequential worklist, and an SCC-region-parallel engine
-//! (backed by [`scc`]) that produces byte-identical facts at any thread
-//! count. [`varset::VarSet`] and the lattices in [`lattice`] cover the fact
-//! types the canonical analyses need.
+//! [`solver::Solver`], over two [`solver::Strategy`] engines: round-robin
+//! (whose pass count is the paper's "Iter" statistic) and an SCC-region
+//! engine (backed by [`scc`]) that produces byte-identical facts and also
+//! runs the incremental and demand-driven modes. [`varset::VarSet`] and the
+//! lattices in [`lattice`] cover the fact types the canonical analyses
+//! need.
 //!
 //! ```
 //! use mpi_dfa_core::graph::SimpleGraph;
@@ -44,10 +44,12 @@
 //! g.flow(0, 1);
 //! g.set_entry(0);
 //! g.set_exit(1);
-//! let sol = Solver::new(&Reach, &g).strategy(Strategy::Worklist).run();
+//! let sol = Solver::new(&Reach, &g).strategy(Strategy::Region).run();
 //! assert!(sol.output[1]);
 //! assert!(sol.stats.converged);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod cache;

@@ -1,6 +1,6 @@
 //! Tarjan condensation of a [`FlowGraph`] into strongly connected regions.
 //!
-//! The region-parallel solver strategy ([`crate::solver::Strategy::RegionParallel`])
+//! The region solver engine ([`crate::solver::Strategy::Region`])
 //! needs to know which nodes can participate in a fact cycle. On an MPI-ICFG
 //! a cycle may run through **communication edges** — a send whose payload
 //! feeds a receive that loops back to the send (CG's cyclic communication
@@ -51,9 +51,9 @@ impl Condensation {
         self.regions.len()
     }
 
-    /// Size of the largest region — the sequential bottleneck of any
-    /// region-parallel schedule (a single giant comm SCC degrades the whole
-    /// solve to effectively sequential).
+    /// Size of the largest region. On SPMD programs communication edges
+    /// fuse most of the graph into one region, which is why the region
+    /// engine is sequential.
     pub fn largest_region(&self) -> usize {
         self.regions.iter().map(Vec::len).max().unwrap_or(0)
     }

@@ -1,23 +1,20 @@
 //! The iterative data-flow solver behind the unified [`Solver`] builder.
 //!
-//! Three strategies are provided (see [`Strategy`]):
+//! Two engines are provided (see [`Strategy`]):
 //!
 //! * [`Strategy::RoundRobin`] — full passes in reverse postorder until a
 //!   pass changes nothing. The pass count it records is the "Iter"
 //!   statistic the paper's Table 1 reports, so the experiment harness pins
-//!   this strategy.
-//! * [`Strategy::Worklist`] — a FIFO worklist that only revisits nodes
-//!   whose inputs may have changed. Faster in practice; the reference for
-//!   the region-parallel strategy's byte-identical guarantee.
-//! * [`Strategy::RegionParallel`] — Tarjan-condenses the graph (including
+//!   this engine.
+//! * [`Strategy::Region`] — Tarjan-condenses the graph (including
 //!   communication edges, see [`crate::scc`]) and solves each strongly
-//!   connected region to a local fixpoint in topological order, running
-//!   independent ready regions on a scoped thread pool. For monotone
-//!   problems the solution is **byte-identical** to the sequential
-//!   worklist at any thread count: parallelism changes wall-clock, never
-//!   facts. See `docs/SOLVER.md` for the full determinism argument.
+//!   connected region to a local fixpoint, one region at a time in
+//!   topological order. For monotone problems its facts are
+//!   **byte-identical** to round-robin's: both compute the unique maximal
+//!   fixpoint. It is the only engine that captures incremental seeds and
+//!   the one that runs both partial modes below. See `docs/SOLVER.md`.
 //!
-//! All strategies handle communication edges: at a node with
+//! Both engines handle communication edges: at a node with
 //! (direction-adjusted) incoming communication edges, the solver evaluates
 //! `f_comm` at each edge's source using that source's *input* fact —
 //! matching the paper's `commOUT(n) = f_comm(IN(n))` for forward analyses
@@ -25,11 +22,11 @@
 //! collected communication facts to the node's transfer function.
 //!
 //! All solving goes through the [`Solver`] builder — there are no free-
-//! function entry points. Beyond the three full-fixpoint strategies the
-//! builder exposes two *partial* modes: [`Solver::seed`] re-solves only the
-//! SCC regions invalidated by an edit (transplanting byte-identical facts
-//! into the rest), and [`Solver::demand`] answers facts at specific nodes
-//! from the upstream region slice alone. See `docs/INCREMENTAL.md`.
+//! function entry points. Beyond the full fixpoint the builder exposes two
+//! *partial* modes: [`Solver::seed`] re-solves only the SCC regions
+//! invalidated by an edit (transplanting byte-identical facts into the
+//! rest), and [`Solver::demand`] answers facts at specific nodes from the
+//! upstream region slice alone. See `docs/INCREMENTAL.md`.
 //!
 //! ```
 //! # use mpi_dfa_core::graph::{NodeId, SimpleGraph};
@@ -49,64 +46,55 @@
 //! g.flow(0, 1);
 //! g.set_entry(0);
 //! g.set_exit(1);
-//! let sol = Solver::new(&Reach, &g)
-//!     .strategy(Strategy::RegionParallel { threads: 2 })
-//!     .run();
+//! let sol = Solver::new(&Reach, &g).strategy(Strategy::Region).run();
 //! assert!(sol.output[1]);
 //! assert!(sol.stats.converged);
 //! ```
 
-use crate::budget::{Budget, Exhaustion, CHECK_INTERVAL};
+use crate::budget::{Budget, BudgetMeter, Exhaustion};
 use crate::graph::{reverse_postorder, Edge, FlowGraph, NodeId};
 use crate::problem::{Dataflow, Direction};
 use crate::scc::{self, Condensation};
 use crate::telemetry;
-use std::cell::UnsafeCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable consulted once per process by
 /// [`Strategy::session_default`] (and thus [`SolveParams::default`]);
-/// lets CI run the whole suite under a different default strategy without
+/// lets CI run the whole suite under a different default engine without
 /// touching call sites.
 pub const STRATEGY_ENV: &str = "MPIDFA_SOLVER";
 
-/// Fixpoint iteration strategy. A pure performance knob: for monotone,
-/// converging problems every strategy computes the same maximal fixpoint,
-/// which is why strategy is deliberately **excluded** from every result
-/// cache key (service result cache, `repro` row cache).
+/// Fixpoint engine. For monotone, converging problems both engines compute
+/// the same maximal fixpoint, so the engine is **excluded** from uncapped
+/// result cache keys (service result cache, `repro` row cache). A work or
+/// pass cap stops the two engines at different points, so capped keys
+/// include it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Full reverse-postorder passes; `passes` matches Table 1's "Iter".
     RoundRobin,
-    /// Sequential FIFO worklist; the determinism reference.
-    Worklist,
-    /// SCC condensation + topological region schedule on a scoped thread
-    /// pool. `threads: 0` means "use available parallelism".
-    RegionParallel {
-        /// Worker thread count; `0` resolves to the machine's available
-        /// parallelism at run time.
-        threads: usize,
-    },
+    /// SCC condensation solved region by region in topological order.
+    Region,
 }
 
 static SESSION_DEFAULT: OnceLock<Strategy> = OnceLock::new();
 
 impl Strategy {
-    /// Parse the CLI/service spelling: `round-robin`, `worklist`,
-    /// `region-parallel`, or `region-parallel:N` (N ≥ 1 worker threads).
+    /// Parse the CLI/service spelling. `round-robin` selects
+    /// [`Strategy::RoundRobin`]. `region-parallel`, `region-parallel:N`
+    /// (N ≥ 1, still validated) and `worklist` are the names of engines
+    /// the region engine replaced; all three select [`Strategy::Region`].
     pub fn parse(s: &str) -> Result<Strategy, String> {
         match s {
             "round-robin" => Ok(Strategy::RoundRobin),
-            "worklist" => Ok(Strategy::Worklist),
-            "region-parallel" => Ok(Strategy::RegionParallel { threads: 0 }),
+            "worklist" | "region-parallel" => Ok(Strategy::Region),
             other => match other.strip_prefix("region-parallel:") {
                 Some(n) => match n.parse::<usize>() {
-                    Ok(t) if t >= 1 => Ok(Strategy::RegionParallel { threads: t }),
+                    Ok(t) if t >= 1 => Ok(Strategy::Region),
                     Ok(_) => Err(
                         "region-parallel thread count must be >= 1 (omit `:N` for auto)".into(),
                     ),
@@ -151,9 +139,7 @@ impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Strategy::RoundRobin => write!(f, "round-robin"),
-            Strategy::Worklist => write!(f, "worklist"),
-            Strategy::RegionParallel { threads: 0 } => write!(f, "region-parallel"),
-            Strategy::RegionParallel { threads } => write!(f, "region-parallel:{threads}"),
+            Strategy::Region => write!(f, "region-parallel"),
         }
     }
 }
@@ -161,8 +147,8 @@ impl fmt::Display for Strategy {
 /// Solver tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SolveParams {
-    /// Upper bound on round-robin passes (or, for worklist-based
-    /// strategies, on node visits divided by node count). Exceeding it sets
+    /// Upper bound on round-robin passes (or, for the region engine, on
+    /// the sweep rounds within one region). Exceeding it sets
     /// `ConvergenceStats::converged = false` instead of looping forever.
     pub max_passes: usize,
     /// Resource budget (deadline, work-unit cap, cancellation). The solver
@@ -170,7 +156,7 @@ pub struct SolveParams {
     /// fixpoint early with `converged = false` and records the reason in
     /// `ConvergenceStats::exhausted`.
     pub budget: Budget,
-    /// Iteration strategy; defaults to [`Strategy::session_default`].
+    /// Fixpoint engine; defaults to [`Strategy::session_default`].
     pub strategy: Strategy,
 }
 
@@ -202,16 +188,15 @@ impl SolveParams {
     }
 }
 
-/// Convergence accounting, reported uniformly by all solver strategies so
-/// bench output can chart budget headroom.
+/// Convergence accounting, reported uniformly by both engines so bench
+/// output can chart budget headroom.
 ///
-/// Under [`Strategy::RegionParallel`] every field except `elapsed` is
-/// derived from per-region accounting merged in region-id order, so the
-/// whole struct (minus wall-clock) is independent of the thread count.
+/// Under [`Strategy::Region`] every field except `elapsed` is derived from
+/// per-region accounting merged in region-id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConvergenceStats {
     /// Number of full passes over the graph (round-robin) or an equivalent
-    /// estimate (worklist strategies: visits / nodes, rounded up).
+    /// estimate (region engine: visits / nodes, rounded up).
     pub passes: usize,
     /// Total node transfer evaluations.
     pub node_visits: u64,
@@ -220,15 +205,13 @@ pub struct ConvergenceStats {
     /// Total meet operations applied while recomputing node inputs (one per
     /// upstream non-communication edge visited).
     pub meets: u64,
-    /// High-water mark of the worklist depth (0 for the round-robin
-    /// strategy, which has no queue). Under the region-parallel strategy
-    /// this is the **maximum over per-region queue high-waters** — a
-    /// deterministic quantity — never a racy global queue measurement.
+    /// High-water mark of the pending-node queue: 0 for round-robin, which
+    /// has no queue; for the region engine, the maximum over per-region
+    /// queue high-waters.
     pub worklist_peak: usize,
     /// Number of nodes whose input or output changed, per pass (round-robin)
-    /// or per visit bucket (worklist strategies). Region-parallel merges
-    /// per-region bucket series element-wise in region-id order, so the
-    /// result is deterministic at any thread count.
+    /// or per sweep round (region engine, per-region series summed
+    /// element-wise in region-id order).
     pub pass_deltas: Vec<u64>,
     /// Per-node visit counts, indexed by `NodeId::index()`. Feeds the DOT
     /// heat overlay; element-wise summed by [`ConvergenceStats::absorb`].
@@ -243,16 +226,15 @@ pub struct ConvergenceStats {
 
 impl ConvergenceStats {
     /// Merge the consumption of a sub-solve into this one (used by clients
-    /// that run several solves under one budget, and by the region-parallel
-    /// engine to fold per-region stats).
+    /// that run several solves under one budget).
     ///
     /// On the pure counters (`passes`, `node_visits`, `comm_evals`, `meets`,
     /// `worklist_peak`, `pass_deltas`, `per_node_visits`, `elapsed`,
     /// `converged`) this operation is commutative and associative — sums,
-    /// maxima, element-wise sums, and conjunction all are — which is what
-    /// makes parallel merges order-independent. `exhausted` deliberately
-    /// keeps the *first* recorded reason, so it depends on absorb order (a
-    /// degradation trace reads in pipeline order).
+    /// maxima, element-wise sums, and conjunction all are — so merges are
+    /// order-independent. `exhausted` deliberately keeps the *first*
+    /// recorded reason, so it depends on absorb order (a degradation trace
+    /// reads in pipeline order).
     pub fn absorb(&mut self, other: &ConvergenceStats) {
         self.passes = self.passes.max(other.passes);
         self.node_visits += other.node_visits;
@@ -322,12 +304,12 @@ impl ConvergenceStats {
     }
 }
 
-/// Region-level seed data captured by fingerprint-capable solves (the
-/// region-parallel strategy and incremental re-solves, when the problem
-/// implements [`Dataflow::node_fingerprint`]). Consumed by
-/// [`Solver::seed`] on the *next* build of the graph: regions whose local
-/// fingerprint and upstream facts are unchanged get their facts and solve
-/// accounting transplanted instead of re-solved.
+/// Region-level seed data captured by converged region-engine solves (full
+/// or incremental) when the problem implements
+/// [`Dataflow::node_fingerprint`]. Consumed by [`Solver::seed`] on the
+/// *next* build of the graph: regions whose local fingerprint and upstream
+/// facts are unchanged get their facts and solve accounting transplanted
+/// instead of re-solved.
 ///
 /// Everything inside refers to the graph the seed was computed over; the
 /// incremental solver matches regions structurally, never by raw node id.
@@ -368,10 +350,6 @@ pub enum SolverConfigError {
     /// The problem returns `None` from [`Dataflow::node_fingerprint`], so
     /// regions cannot be matched across graph builds.
     FingerprintsUnavailable,
-    /// `.demand()` was combined with [`Strategy::RegionParallel`]: a demand
-    /// slice is solved sequentially in topological order, so a parallel
-    /// strategy request would be silently ignored — rejected instead.
-    DemandWithRegionParallel,
     /// A node handed to `.demand()` or `.dirty()` is outside the graph.
     NodeOutOfRange { node: NodeId, num_nodes: usize },
 }
@@ -396,11 +374,6 @@ impl fmt::Display for SolverConfigError {
                 "problem does not implement node_fingerprint; incremental \
                  seeding is unavailable"
             ),
-            SolverConfigError::DemandWithRegionParallel => write!(
-                f,
-                "demand mode is sequential by construction and cannot honor \
-                 a region-parallel strategy"
-            ),
             SolverConfigError::NodeOutOfRange { node, num_nodes } => {
                 write!(f, "node {node} is outside the graph ({num_nodes} nodes)")
             }
@@ -424,7 +397,7 @@ pub struct Solution<F> {
     /// ran the region engine (or an incremental re-solve), converged, and
     /// the problem implements [`Dataflow::node_fingerprint`]; `None`
     /// otherwise. Cheap to clone (shared via `Arc`).
-    pub regions: Option<std::sync::Arc<SeedRegions>>,
+    pub regions: Option<Arc<SeedRegions>>,
 }
 
 impl<F> Solution<F> {
@@ -445,12 +418,12 @@ impl<F> Solution<F> {
     }
 }
 
-/// Unified builder over every iteration strategy — the only solve entry
-/// point in the framework.
+/// Unified builder over both engines — the only solve entry point in the
+/// framework.
 ///
 /// ```text
 /// Solver::new(problem, graph)
-///     .strategy(Strategy::RegionParallel { threads: 8 })
+///     .strategy(Strategy::Region)
 ///     .params(SolveParams::default())   // or .max_passes(..) / .budget(..)
 ///     .run()
 /// ```
@@ -459,7 +432,8 @@ impl<F> Solution<F> {
 ///
 /// Beyond the full fixpoint, the builder branches into two typestate
 /// sub-builders whose misuse is unrepresentable or rejected with a typed
-/// [`SolverConfigError`] at *build* time, never at run time:
+/// [`SolverConfigError`] at *build* time, never at run time. Both run the
+/// region engine whatever strategy was configured:
 ///
 /// * **Incremental**: [`Solver::seed`] validates the previous
 ///   [`Solution`] (matching direction, converged, carries
@@ -469,25 +443,15 @@ impl<F> Solution<F> {
 ///   legal: every region is then validated purely by fingerprint + input
 ///   facts), which yields an [`IncrementalSolver`] whose
 ///   [`IncrementalSolver::run`] re-solves only invalidated regions and
-///   transplants the rest. The strategy knob is irrelevant here: an
-///   incremental re-solve is sequential in region topological order by
-///   construction.
+///   transplants the rest.
 /// * **Demand**: [`Solver::demand`] returns a [`DemandSolver`] that
 ///   answers facts at the requested node(s) by solving only the upstream
-///   region slice. Combining demand with
-///   [`Strategy::RegionParallel`] fails with
-///   [`SolverConfigError::DemandWithRegionParallel`] — the slice is solved
-///   sequentially, and silently ignoring a parallelism request would lie.
-///   More roots can be added by chaining [`DemandSolver::demand`].
+///   region slice. More roots can be added by chaining
+///   [`DemandSolver::demand`].
 ///
 /// Both sub-builders consume `self`, so a partial mode cannot be combined
 /// with a later `.strategy(..)` / `.params(..)` rewrite — whatever was
 /// configured before the branch is what runs.
-///
-/// `run()` requires the problem, graph, and facts to be shareable across
-/// threads (`Sync`/`Send`) because the region-parallel strategy may fan out
-/// to a scoped pool; every analysis in this workspace satisfies the bounds
-/// structurally (plain owned data).
 #[derive(Debug)]
 pub struct Solver<'a, P, G> {
     problem: &'a P,
@@ -506,7 +470,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
         }
     }
 
-    /// Select the iteration strategy (overrides the one in the params).
+    /// Select the engine (overrides the one in the params).
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.params.strategy = strategy;
         self
@@ -531,18 +495,11 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
     }
 
     /// Run the fixpoint to completion (or budget/pass-bound exhaustion).
-    pub fn run(self) -> Solution<P::Fact>
-    where
-        P: Sync,
-        G: Sync,
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
+    pub fn run(self) -> Solution<P::Fact> {
         match self.params.strategy {
             Strategy::RoundRobin => run_round_robin(self.graph, self.problem, &self.params),
-            Strategy::Worklist => run_worklist(self.graph, self.problem, &self.params),
-            Strategy::RegionParallel { threads } => {
-                run_region_parallel(self.graph, self.problem, &self.params, threads)
+            Strategy::Region => {
+                run_regions(self.graph, self.problem, &self.params, Plan::Full).solution
             }
         }
     }
@@ -588,24 +545,14 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
     /// Branch into **demand mode**: answer facts at `at` (and any further
     /// nodes added with [`DemandSolver::demand`]) by solving only the
     /// upstream region slice. Errors with
-    /// [`SolverConfigError::DemandWithRegionParallel`] when the configured
-    /// strategy is [`Strategy::RegionParallel`] and
     /// [`SolverConfigError::NodeOutOfRange`] when `at` is not a node of the
     /// graph.
     pub fn demand(self, at: NodeId) -> Result<DemandSolver<'a, P, G>, SolverConfigError> {
-        if matches!(self.params.strategy, Strategy::RegionParallel { .. }) {
-            return Err(SolverConfigError::DemandWithRegionParallel);
-        }
-        if at.index() >= self.graph.num_nodes() {
-            return Err(SolverConfigError::NodeOutOfRange {
-                node: at,
-                num_nodes: self.graph.num_nodes(),
-            });
-        }
-        Ok(DemandSolver {
+        DemandSolver {
             solver: self,
-            roots: vec![at],
-        })
+            roots: Vec::new(),
+        }
+        .demand(at)
     }
 }
 
@@ -642,19 +589,24 @@ impl<P: Dataflow, G: FlowGraph> IncrementalSolver<'_, P, G> {
     /// Run the incremental re-solve: condense the (new) graph, force-dirty
     /// the declared regions, validate every other region against the seed,
     /// transplant validated regions' facts and accounting, and re-solve the
-    /// rest sequentially in region topological order. For monotone
-    /// converging problems the resulting facts — and, for transplanted
-    /// regions, the solve accounting — are byte-identical to a cold
-    /// region-engine solve of the same graph.
+    /// rest in region topological order. For monotone converging problems
+    /// the resulting facts — and, for transplanted regions, the solve
+    /// accounting — are byte-identical to a cold region-engine solve of the
+    /// same graph.
     pub fn run(self) -> SeededRun<P::Fact> {
-        run_incremental(
-            self.seeded.solver.graph,
-            self.seeded.solver.problem,
-            &self.seeded.solver.params,
-            self.seeded.prev,
-            &self.seeded.node_fp,
-            &self.dirty,
-        )
+        let s = &self.seeded;
+        let plan = Plan::Seeded {
+            prev: s.prev,
+            node_fp: &s.node_fp,
+            dirty: &self.dirty,
+        };
+        let run = run_regions(s.solver.graph, s.solver.problem, &s.solver.params, plan);
+        SeededRun {
+            solution: run.solution,
+            regions_total: run.regions_total,
+            regions_reused: run.reused,
+            regions_resolved: run.solved,
+        }
     }
 }
 
@@ -681,30 +633,33 @@ pub struct DemandSolver<'a, P, G> {
 impl<P: Dataflow, G: FlowGraph> DemandSolver<'_, P, G> {
     /// Add another demand root; the slice is the union over all roots.
     /// Errors with [`SolverConfigError::NodeOutOfRange`] for a node outside
-    /// the graph (the strategy was already validated by [`Solver::demand`]).
+    /// the graph.
     pub fn demand(mut self, at: NodeId) -> Result<Self, SolverConfigError> {
-        if at.index() >= self.solver.graph.num_nodes() {
+        let num_nodes = self.solver.graph.num_nodes();
+        if at.index() >= num_nodes {
             return Err(SolverConfigError::NodeOutOfRange {
                 node: at,
-                num_nodes: self.solver.graph.num_nodes(),
+                num_nodes,
             });
         }
         self.roots.push(at);
         Ok(self)
     }
 
-    /// Solve the upstream region slice of the demand roots, sequentially in
-    /// topological order. Facts at every node inside the slice are
-    /// byte-identical to a whole-program fixpoint; nodes outside the slice
-    /// keep lattice top and must not be read (consult
-    /// [`DemandRun::node_in_slice`]).
+    /// Solve the upstream region slice of the demand roots in topological
+    /// order. Facts at every node inside the slice are byte-identical to a
+    /// whole-program fixpoint; nodes outside the slice keep lattice top and
+    /// must not be read (consult [`DemandRun::node_in_slice`]).
     pub fn run(self) -> DemandRun<P::Fact> {
-        run_demand(
-            self.solver.graph,
-            self.solver.problem,
-            &self.solver.params,
-            &self.roots,
-        )
+        let s = &self.solver;
+        let plan = Plan::Demand { roots: &self.roots };
+        let run = run_regions(s.graph, s.problem, &s.params, plan);
+        DemandRun {
+            solution: run.solution,
+            regions_total: run.regions_total,
+            regions_solved: run.solved,
+            node_in_slice: run.node_in_slice,
+        }
     }
 }
 
@@ -786,7 +741,7 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
     }
 }
 
-/// State shared by the sequential strategies: recompute one node, returning
+/// Recompute one node for the round-robin engine, returning
 /// (input_changed, output_changed).
 #[allow(clippy::too_many_arguments)] // hot path: a context struct would add a borrow dance
 fn update_node<G: FlowGraph, P: Dataflow>(
@@ -925,373 +880,14 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
     }
 }
 
-/// FIFO worklist fixpoint. Produces the same solution as round-robin for
-/// monotone problems, usually with far fewer node visits; `passes` reports
-/// `ceil(node_visits / num_nodes)` for rough comparability.
-fn run_worklist<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    params: &SolveParams,
-) -> Solution<P::Fact> {
-    let oriented = Oriented::new(graph, problem.direction());
-    let n = graph.num_nodes();
-    let order = oriented.order();
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
-    let mut input = vec![problem.top(); n];
-    let mut output = vec![problem.top(); n];
-    let mut stats = ConvergenceStats {
-        converged: true,
-        per_node_visits: vec![0; n],
-        ..Default::default()
-    };
-    let mut comm_buf = Vec::new();
-
-    let mut queue: std::collections::VecDeque<NodeId> = order.iter().copied().collect();
-    let mut queued = vec![true; n];
-    let visit_budget = (params.max_passes as u64).saturating_mul(n.max(1) as u64);
-    let mut span = telemetry::span("solver", "fixpoint:worklist");
-    let traced = telemetry::is_enabled();
-    let started = Instant::now();
-    let mut meter = params.budget.meter();
-    stats.worklist_peak = queue.len();
-    // Bucket deltas every `n` visits so pass_deltas is roughly comparable
-    // to the round-robin per-pass series.
-    let bucket = n.max(1) as u64;
-    let mut bucket_delta = 0u64;
-
-    while let Some(node) = queue.pop_front() {
-        queued[node.index()] = false;
-        if let Err(e) = meter.charge(1) {
-            stats.converged = false;
-            stats.exhausted = Some(e);
-            break;
-        }
-        let (ic, oc) = update_node(
-            &oriented,
-            problem,
-            &is_boundary,
-            &mut input,
-            &mut output,
-            &mut comm_buf,
-            &mut stats,
-            node,
-        );
-        if ic || oc {
-            bucket_delta += 1;
-            for e in oriented.downstream(node) {
-                // Output changes invalidate flow successors; input changes
-                // invalidate communication successors (whose comm facts read
-                // our input).
-                let relevant = if e.kind.is_comm() { ic } else { oc };
-                if relevant {
-                    let t = oriented.target(e);
-                    if !queued[t.index()] {
-                        queued[t.index()] = true;
-                        queue.push_back(t);
-                    }
-                }
-            }
-            stats.worklist_peak = stats.worklist_peak.max(queue.len());
-        }
-        if stats.node_visits.is_multiple_of(bucket) {
-            stats.pass_deltas.push(bucket_delta);
-            bucket_delta = 0;
-            if traced {
-                sample_budget_headroom(&params.budget, meter.work());
-                telemetry::counter("solver", "worklist_depth", queue.len() as f64);
-            }
-        }
-        if stats.node_visits >= visit_budget {
-            stats.converged = false;
-            break;
-        }
-    }
-    if bucket_delta > 0 {
-        stats.pass_deltas.push(bucket_delta);
-    }
-
-    stats.passes = (stats.node_visits as usize).div_ceil(n.max(1));
-    stats.elapsed = started.elapsed();
-    close_solver_span(&mut span, &stats, n);
-    Solution {
-        direction: problem.direction(),
-        input,
-        output,
-        stats,
-        regions: None,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Region-parallel strategy
+// Region engine
 // ---------------------------------------------------------------------------
-
-/// Per-element interior mutability for the fact vectors shared across the
-/// region pool.
-///
-/// Soundness is delegated to the region scheduler: each element belongs to
-/// exactly one region, a region is solved by exactly one thread at a time,
-/// and a region only starts after every region it reads from has completed
-/// — with the scheduler mutex providing the happens-before edge between the
-/// upstream region's final write and the downstream region's first read.
-struct SharedSlice<F>(Vec<UnsafeCell<F>>);
-
-// SAFETY: see the struct docs — element access is partitioned by region and
-// ordered by the scheduler lock; `F: Send` is required because elements are
-// written from pool threads and read back on the calling thread.
-unsafe impl<F: Send> Sync for SharedSlice<F> {}
-
-impl<F> SharedSlice<F> {
-    fn new(init: Vec<F>) -> Self {
-        SharedSlice(init.into_iter().map(UnsafeCell::new).collect())
-    }
-
-    /// Read element `i`.
-    ///
-    /// # Safety
-    /// No thread may hold or create a mutable reference to element `i`
-    /// concurrently (scheduler protocol: `i` is in the caller's region or
-    /// in a completed upstream region).
-    unsafe fn get(&self, i: usize) -> &F {
-        &*self.0[i].get()
-    }
-
-    /// Mutably access element `i`.
-    ///
-    /// # Safety
-    /// The caller must have exclusive access to element `i` (scheduler
-    /// protocol: `i` is in the region the caller currently owns).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut F {
-        &mut *self.0[i].get()
-    }
-
-    fn into_vec(self) -> Vec<F> {
-        self.0.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
-fn encode_exhaustion(e: Exhaustion) -> u8 {
-    match e {
-        Exhaustion::Deadline => 1,
-        Exhaustion::WorkUnits => 2,
-        Exhaustion::FactMemory => 3,
-        Exhaustion::Cancelled => 4,
-    }
-}
-
-fn decode_exhaustion(code: u8) -> Option<Exhaustion> {
-    match code {
-        1 => Some(Exhaustion::Deadline),
-        2 => Some(Exhaustion::WorkUnits),
-        3 => Some(Exhaustion::FactMemory),
-        4 => Some(Exhaustion::Cancelled),
-        _ => None,
-    }
-}
-
-/// Budget meter shared by all solver threads.
-///
-/// Only wall-clock deadlines and cooperative cancellation are metered here:
-/// deterministic caps (`max_work`, `max_fact_bytes`) make the
-/// region-parallel strategy degrade to the sequential worklist *before*
-/// this type is constructed, because "which node hit the cap" cannot be
-/// answered identically by racing threads. Exhaustion is recorded
-/// first-writer-wins and observed by every other thread on its next
-/// charge, which is what makes cancellation cancel *across* threads.
-struct SharedMeter<'b> {
-    budget: &'b Budget,
-    work: AtomicU64,
-    /// 0 = healthy; otherwise an encoded [`Exhaustion`].
-    tripped: AtomicU8,
-    /// Enforce the deterministic `max_work` cap on every charge. Only the
-    /// *sequential* incremental/demand runners set this — a single caller
-    /// makes "which node hit the cap" well-defined; the parallel engine
-    /// still degrades to the worklist before this type is constructed.
-    enforce_work_cap: bool,
-}
-
-impl<'b> SharedMeter<'b> {
-    fn new(budget: &'b Budget) -> Self {
-        SharedMeter {
-            budget,
-            work: AtomicU64::new(0),
-            tripped: AtomicU8::new(0),
-            enforce_work_cap: false,
-        }
-    }
-
-    /// A meter for single-threaded callers: deterministic work caps are
-    /// enforced inline (see `enforce_work_cap`).
-    fn new_sequential(budget: &'b Budget) -> Self {
-        SharedMeter {
-            enforce_work_cap: true,
-            ..SharedMeter::new(budget)
-        }
-    }
-
-    /// Charge one work unit; deadline/cancel polled every
-    /// [`CHECK_INTERVAL`] units (same cadence as the sequential
-    /// [`crate::budget::BudgetMeter`]).
-    fn charge(&self) -> Result<(), Exhaustion> {
-        if let Some(e) = decode_exhaustion(self.tripped.load(Ordering::Relaxed)) {
-            return Err(e);
-        }
-        let done = self.work.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.enforce_work_cap {
-            if let Some(max) = self.budget.max_work {
-                if done > max {
-                    return Err(self.trip(Exhaustion::WorkUnits));
-                }
-            }
-        }
-        if done.is_multiple_of(CHECK_INTERVAL) {
-            self.poll_controls()?;
-        }
-        Ok(())
-    }
-
-    /// Unconditionally poll deadline + cancellation (called once per region
-    /// start so cancellation propagates promptly even on small regions).
-    fn poll_controls(&self) -> Result<(), Exhaustion> {
-        if let Some(e) = decode_exhaustion(self.tripped.load(Ordering::Relaxed)) {
-            return Err(e);
-        }
-        if let Some(deadline) = self.budget.deadline {
-            if Instant::now() >= deadline {
-                return Err(self.trip(Exhaustion::Deadline));
-            }
-        }
-        if self
-            .budget
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.is_cancelled())
-        {
-            return Err(self.trip(Exhaustion::Cancelled));
-        }
-        Ok(())
-    }
-
-    /// Record an exhaustion reason; the first writer wins and every thread
-    /// reports that same reason from then on.
-    fn trip(&self, e: Exhaustion) -> Exhaustion {
-        let _ = self.tripped.compare_exchange(
-            0,
-            encode_exhaustion(e),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        decode_exhaustion(self.tripped.load(Ordering::Relaxed)).unwrap_or(e)
-    }
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-struct SchedState {
-    dep_count: Vec<u32>,
-    /// Ready regions, lowest id (earliest in topological order) first.
-    ready: BinaryHeap<Reverse<u32>>,
-    incomplete: usize,
-    stop: bool,
-}
-
-/// Topological region scheduler: a region becomes ready when all regions it
-/// reads facts from have completed.
-struct Scheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-impl Scheduler {
-    fn new(deps: &[Vec<u32>]) -> Scheduler {
-        let dep_count: Vec<u32> = deps.iter().map(|d| d.len() as u32).collect();
-        let ready: BinaryHeap<Reverse<u32>> = dep_count
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| (c == 0).then_some(Reverse(i as u32)))
-            .collect();
-        Scheduler {
-            state: Mutex::new(SchedState {
-                incomplete: deps.len(),
-                dep_count,
-                ready,
-                stop: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until a region is ready (returning the lowest ready id), the
-    /// schedule has drained, or the solve was aborted.
-    fn claim(&self) -> Option<u32> {
-        let mut st = lock_recover(&self.state);
-        loop {
-            if st.stop {
-                return None;
-            }
-            if let Some(Reverse(rid)) = st.ready.pop() {
-                return Some(rid);
-            }
-            if st.incomplete == 0 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Mark `rid` complete, unlocking any dependents whose inputs are now
-    /// final.
-    fn complete(&self, rid: u32, dependents: &[Vec<u32>]) {
-        let mut st = lock_recover(&self.state);
-        st.incomplete -= 1;
-        for &d in &dependents[rid as usize] {
-            st.dep_count[d as usize] -= 1;
-            if st.dep_count[d as usize] == 0 {
-                st.ready.push(Reverse(d));
-                self.cv.notify_one();
-            }
-        }
-        if st.incomplete == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Stop the schedule (budget exhaustion, or a worker panicking mid
-    /// region — turning a panic into a clean join instead of a hang).
-    fn abort(&self) {
-        let mut st = lock_recover(&self.state);
-        st.stop = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Aborts the schedule if dropped while armed, so a panic in a transfer
-/// function wakes the other workers (which then exit and let the scope
-/// propagate the panic) instead of deadlocking the pool.
-struct AbortOnPanic<'s> {
-    sched: &'s Scheduler,
-    armed: bool,
-}
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.sched.abort();
-        }
-    }
-}
 
 /// Per-region accounting; merged into [`ConvergenceStats`] in region-id
-/// order, making every derived stat independent of thread scheduling.
-/// `Clone` because [`SeedRegions`] stores each region's accounting and the
-/// incremental solver replays it when the region's facts are transplanted.
+/// order. `Clone` because [`SeedRegions`] stores each region's accounting
+/// and the incremental solver replays it when the region's facts are
+/// transplanted.
 #[derive(Debug, Default, Clone)]
 struct RegionStats {
     node_visits: u64,
@@ -1305,8 +901,7 @@ struct RegionStats {
     exhausted: Option<Exhaustion>,
 }
 
-/// Per-worker memo of `f_comm` source facts, epoch-validated per region
-/// solve.
+/// Memo of `f_comm` source facts, epoch-validated per region solve.
 ///
 /// The dominant cost on comm-dense graphs is re-evaluating `comm_transfer`
 /// for *every* incoming communication edge on every visit — all-pairs
@@ -1319,8 +914,8 @@ struct RegionStats {
 /// The epoch bump at region start drops every entry, so facts that flow in
 /// from upstream regions are re-read after those regions finalize — never
 /// stale. Hit/miss behavior depends only on the region's deterministic
-/// visit sequence, which keeps `comm_evals` (the miss count) independent
-/// of the thread count and of which worker solves which region.
+/// visit sequence, so `comm_evals` (the miss count) of a region is the
+/// same whether it runs in a cold, seeded or demand solve.
 struct CommCache<F> {
     /// Entry `i` is valid iff `epoch[i] == cur` (0 = never / invalidated).
     epoch: Vec<u64>,
@@ -1361,7 +956,7 @@ impl<F> CommCache<F> {
     }
 }
 
-/// Everything a worker needs to solve one region; immutable and shared.
+/// The immutable per-solve context every region solve reads.
 struct RegionCtx<'a, P: Dataflow, G: FlowGraph> {
     oriented: &'a Oriented<'a, G>,
     problem: &'a P,
@@ -1369,26 +964,17 @@ struct RegionCtx<'a, P: Dataflow, G: FlowGraph> {
     /// Node index → position in the global direction-adjusted RPO.
     rpo_pos: &'a [u32],
     is_boundary: &'a [bool],
-    input: &'a SharedSlice<P::Fact>,
-    output: &'a SharedSlice<P::Fact>,
-    meter: &'a SharedMeter<'a>,
     max_passes: usize,
 }
 
-/// Recompute one node against the shared fact slices; the parallel analogue
-/// of [`update_node`].
-///
-/// # Safety
-/// The calling thread must currently own region `cond.region_of[n]` under
-/// the scheduler protocol. Then:
-/// * writes touch only `input[n]` / `output[n]` — nodes of the owned region;
-/// * reads touch `n`'s upstream sources, which are either in the owned
-///   region (no other writer) or in a region that completed before this one
-///   was scheduled (no concurrent writer, ordered by the scheduler lock).
-///   Communication edges are part of the condensation, so comm sources obey
-///   the same rule.
-unsafe fn update_node_shared<P: Dataflow, G: FlowGraph>(
+/// Recompute one node of the region being solved, returning
+/// (input_changed, output_changed). Reads of upstream sources outside the
+/// region see final facts: regions run in topological order, and comm
+/// edges are part of the condensation, so comm sources obey the same rule.
+fn update_region_node<P: Dataflow, G: FlowGraph>(
     ctx: &RegionCtx<'_, P, G>,
+    input: &mut [P::Fact],
+    output: &mut [P::Fact],
     comm_buf: &mut Vec<P::CommFact>,
     cache: &mut CommCache<P::CommFact>,
     stats: &mut RegionStats,
@@ -1405,8 +991,7 @@ unsafe fn update_node_shared<P: Dataflow, G: FlowGraph>(
             continue;
         }
         stats.meets += 1;
-        let src = ctx.oriented.source(e);
-        let src_out = ctx.output.get(src.index());
+        let src_out = &output[ctx.oriented.source(e).index()];
         match ctx.problem.translate(e, src_out) {
             Some(translated) => {
                 ctx.problem.meet_into(&mut new_in, &translated);
@@ -1425,26 +1010,24 @@ unsafe fn update_node_shared<P: Dataflow, G: FlowGraph>(
             let src = ctx.oriented.source(e);
             let si = src.index();
             if !cache.valid(si) {
-                cache.store(si, ctx.problem.comm_transfer(src, ctx.input.get(si)));
+                cache.store(si, ctx.problem.comm_transfer(src, &input[si]));
                 stats.comm_evals += 1;
             }
             comm_buf.push(cache.fact(si).clone());
         }
     }
 
-    let input_n = ctx.input.get_mut(n.index());
-    let in_changed = new_in != *input_n;
+    let in_changed = new_in != input[n.index()];
     if in_changed {
-        *input_n = new_in;
+        input[n.index()] = new_in;
         // `n`'s memoised comm fact (if any) was computed from the old
         // input; the next reader must re-evaluate it.
         cache.invalidate(n.index());
     }
-    let new_out = ctx.problem.transfer(n, input_n, comm_buf);
-    let output_n = ctx.output.get_mut(n.index());
-    let out_changed = new_out != *output_n;
+    let new_out = ctx.problem.transfer(n, &input[n.index()], comm_buf);
+    let out_changed = new_out != output[n.index()];
     if out_changed {
-        *output_n = new_out;
+        output[n.index()] = new_out;
     }
     (in_changed, out_changed)
 }
@@ -1457,8 +1040,7 @@ unsafe fn update_node_shared<P: Dataflow, G: FlowGraph>(
 /// therefore monotone in RPO within a round, every node runs at most once
 /// per round, and a round visits only the dirty subset — so the region
 /// never does more work than a round-robin sweep restricted to it, and the
-/// visit order is deterministic regardless of which thread runs the
-/// region.
+/// visit order is a function of the region alone.
 ///
 /// (A single heap without the round barrier is pathological on the
 /// all-pairs comm-edge cliques collective matching produces: a change at a
@@ -1467,6 +1049,9 @@ unsafe fn update_node_shared<P: Dataflow, G: FlowGraph>(
 /// k-clique. The round barrier restores the O(k)-per-wave sweep bound.)
 fn solve_region<P: Dataflow, G: FlowGraph>(
     ctx: &RegionCtx<'_, P, G>,
+    input: &mut [P::Fact],
+    output: &mut [P::Fact],
+    meter: &mut BudgetMeter,
     cache: &mut CommCache<P::CommFact>,
     rid: u32,
 ) -> RegionStats {
@@ -1480,11 +1065,12 @@ fn solve_region<P: Dataflow, G: FlowGraph>(
         ..Default::default()
     };
 
-    if ctx.meter.poll_controls().is_err() {
-        // Don't even start: deadline passed or cancellation requested. The
-        // region records zero work and the exhaustion reason.
+    if let Err(e) = meter.poll() {
+        // Don't even start: deadline passed, cancellation requested, or an
+        // earlier region exhausted the budget. The region records zero work
+        // and the exhaustion reason.
         stats.converged = false;
-        stats.exhausted = ctx.meter.poll_controls().err();
+        stats.exhausted = Some(e);
         return stats;
     }
 
@@ -1506,18 +1092,15 @@ fn solve_region<P: Dataflow, G: FlowGraph>(
             let node = NodeId(v);
             let local = ctx.cond.local_index[node.index()] as usize;
             in_current[local] = false;
-            if let Err(e) = ctx.meter.charge() {
+            if let Err(e) = meter.charge(1) {
                 stats.converged = false;
                 stats.exhausted = Some(e);
                 break 'rounds;
             }
             stats.node_visits += 1;
             stats.visits[local] += 1;
-            // SAFETY: this thread owns region `rid` (handed out exactly once
-            // by `Scheduler::claim`), and every upstream region completed
-            // first.
             let (ic, oc) =
-                unsafe { update_node_shared(ctx, &mut comm_buf, cache, &mut stats, node) };
+                update_region_node(ctx, input, output, &mut comm_buf, cache, &mut stats, node);
             if ic || oc {
                 round_delta += 1;
                 for e in ctx.oriented.downstream(node) {
@@ -1575,48 +1158,50 @@ fn solve_region<P: Dataflow, G: FlowGraph>(
     stats
 }
 
-fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    }
+/// What the region driver does with the regions of one solve. Per region
+/// it either solves, skips (outside a demand slice) or transplants (a
+/// region a seed validates).
+enum Plan<'p, F> {
+    /// Solve every region: a cold full solve.
+    Full,
+    /// Transplant the regions `prev`'s seed validates; re-solve the rest.
+    Seeded {
+        prev: &'p Solution<F>,
+        node_fp: &'p [u64],
+        dirty: &'p [NodeId],
+    },
+    /// Solve only the regions upstream of the demand roots.
+    Demand { roots: &'p [NodeId] },
 }
 
-/// Region-parallel fixpoint: condense, schedule regions topologically,
-/// solve independent ready regions on a scoped pool. Facts are
-/// byte-identical to [`Strategy::Worklist`] for monotone converging
-/// problems at any thread count; stats (except `elapsed`) are
-/// thread-count-independent by construction.
-fn run_region_parallel<G, P>(
+/// What one pass of the region driver produced.
+struct RegionRun<F> {
+    solution: Solution<F>,
+    regions_total: usize,
+    /// Regions whose facts were transplanted from a seed.
+    reused: usize,
+    /// Regions actually solved.
+    solved: usize,
+    /// Per-node membership of the demand slice (empty for other plans).
+    node_in_slice: Vec<bool>,
+}
+
+/// The region driver behind [`Strategy::Region`], [`Solver::seed`] and
+/// [`Solver::demand`]: condense, then walk the regions in
+/// direction-adjusted topological order over plain fact vectors. Each
+/// region reads only regions that are already final, so its local
+/// fixpoint is a piece of the global one.
+fn run_regions<G: FlowGraph, P: Dataflow>(
     graph: &G,
     problem: &P,
     params: &SolveParams,
-    threads: usize,
-) -> Solution<P::Fact>
-where
-    G: FlowGraph + Sync,
-    P: Dataflow + Sync,
-    P::Fact: Send,
-    P::CommFact: Send,
-{
-    // Deterministic resource caps answer "which node hit the cap", which
-    // racing threads cannot answer reproducibly. Degrade to the sequential
-    // worklist so capped runs stay deterministic (and cacheable); deadline
-    // and cancellation budgets — which already bypass every cache — stay
-    // truly parallel below.
-    if params.budget.max_work.is_some() || params.budget.max_fact_bytes.is_some() {
-        telemetry::instant("solver", "region_parallel_degraded_to_worklist", vec![]);
-        return run_worklist(graph, problem, params);
-    }
-
+    plan: Plan<'_, P::Fact>,
+) -> RegionRun<P::Fact> {
     let n = graph.num_nodes();
+    let backward = problem.direction() == Direction::Backward;
     let oriented = Oriented::new(graph, problem.direction());
-    let order = oriented.order();
     let mut rpo_pos = vec![0u32; n];
-    for (i, nd) in order.iter().enumerate() {
+    for (i, nd) in oriented.order().iter().enumerate() {
         rpo_pos[nd.index()] = i as u32;
     }
     let mut is_boundary = vec![false; n];
@@ -1624,28 +1209,40 @@ where
         is_boundary[b.index()] = true;
     }
 
-    let mut span = telemetry::span("solver", "fixpoint:region_parallel");
+    let mut span = telemetry::span(
+        "solver",
+        match plan {
+            Plan::Full => "fixpoint:region_parallel",
+            Plan::Seeded { .. } => "fixpoint:incremental",
+            Plan::Demand { .. } => "fixpoint:demand",
+        },
+    );
     let started = Instant::now();
 
     let cond = scc::condense(graph);
     let num_regions = cond.num_regions();
-
-    // Direction-adjusted dependencies: a forward analysis reads facts from
-    // predecessor regions, a backward one from successor regions.
-    let (deps, dependents) = match problem.direction() {
-        Direction::Forward => (&cond.preds, &cond.succs),
-        Direction::Backward => (&cond.succs, &cond.preds),
+    let region_fps = |node_fp: &[u64]| {
+        scc::region_fingerprints(graph, &cond, node_fp, &is_boundary, &rpo_pos, backward)
     };
-
-    let input = SharedSlice::new(vec![problem.top(); n]);
-    let output = SharedSlice::new(vec![problem.top(); n]);
-    let meter = SharedMeter::new(&params.budget);
-    let sched = Scheduler::new(deps);
-    let region_stats: Vec<OnceLock<RegionStats>> =
-        (0..num_regions).map(|_| OnceLock::new()).collect();
-    let workers = resolve_threads(threads).clamp(1, num_regions.max(1));
-    let active = AtomicUsize::new(0);
-    let peak_active = AtomicUsize::new(0);
+    let seed = match plan {
+        Plan::Seeded {
+            prev,
+            node_fp,
+            dirty,
+        } => Some(SeedMatch::new(prev, region_fps(node_fp), &cond, dirty)),
+        _ => None,
+    };
+    let in_slice = match plan {
+        Plan::Demand { roots } => {
+            let root_regions: Vec<u32> =
+                roots.iter().map(|nd| cond.region_of[nd.index()]).collect();
+            Some(scc::upstream_closure(&cond, &root_regions, backward))
+        }
+        _ => None,
+    };
+    let expected = in_slice
+        .as_ref()
+        .map_or(num_regions, |s| s.iter().filter(|&&b| b).count());
 
     let ctx = RegionCtx {
         oriented: &oriented,
@@ -1653,84 +1250,138 @@ where
         cond: &cond,
         rpo_pos: &rpo_pos,
         is_boundary: &is_boundary,
-        input: &input,
-        output: &output,
-        meter: &meter,
         max_passes: params.max_passes,
     };
+    let mut input = vec![problem.top(); n];
+    let mut output = vec![problem.top(); n];
+    let mut meter = params.budget.meter();
+    let mut cache = CommCache::new(n);
+    let mut per_region: Vec<Option<RegionStats>> = vec![None; num_regions];
+    let (mut reused, mut solved) = (0usize, 0usize);
 
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut guard = AbortOnPanic {
-                    sched: &sched,
-                    armed: true,
-                };
-                // Per-worker comm-fact memo, epoch-cleared at each region.
-                let mut cache = CommCache::new(n);
-                while let Some(rid) = sched.claim() {
-                    let now = active.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak_active.fetch_max(now, Ordering::Relaxed);
-                    let rs = solve_region(&ctx, &mut cache, rid);
-                    active.fetch_sub(1, Ordering::Relaxed);
-                    let stop = rs.exhausted.is_some();
-                    let _ = region_stats[rid as usize].set(rs);
-                    if stop {
-                        sched.abort();
-                    } else {
-                        sched.complete(rid, dependents);
-                    }
-                }
-                guard.armed = false;
-            });
+    // Region ids are forward-topological; a backward analysis consumes
+    // facts from successor regions, so it walks them in reverse.
+    let order: Vec<usize> = if backward {
+        (0..num_regions).rev().collect()
+    } else {
+        (0..num_regions).collect()
+    };
+    for rid in order {
+        if in_slice.as_ref().is_some_and(|s| !s[rid]) {
+            continue;
         }
-    });
+        let members = &cond.regions[rid];
+        if let Some(seed) = &seed {
+            if let Some(old_rid) = seed.find(rid, members.len(), &input, &output) {
+                let old_members = &seed.seed.regions[old_rid];
+                for (&nd, &old) in members.iter().zip(old_members) {
+                    input[nd.index()] = seed.prev.input[old.index()].clone();
+                    output[nd.index()] = seed.prev.output[old.index()].clone();
+                }
+                per_region[rid] = Some(seed.seed.stats[old_rid].clone());
+                reused += 1;
+                continue;
+            }
+        }
+        let rs = solve_region(
+            &ctx,
+            &mut input,
+            &mut output,
+            &mut meter,
+            &mut cache,
+            rid as u32,
+        );
+        let stop = rs.exhausted.is_some();
+        per_region[rid] = Some(rs);
+        solved += 1;
+        if stop {
+            break;
+        }
+    }
 
-    // Deterministic merge in region-id order. Each per-region stat depends
-    // only on the region's seed order and its (final) upstream facts, never
-    // on which thread ran it — so everything below except `elapsed` is
-    // identical at any thread count.
-    let per_region: Vec<Option<RegionStats>> =
-        region_stats.into_iter().map(OnceLock::into_inner).collect();
-    let mut stats = merge_region_stats(n, &cond, &per_region, num_regions);
+    let mut stats = merge_region_stats(n, &cond, &per_region, expected);
     stats.elapsed = started.elapsed();
 
-    // Seed capture: a converged region solve by a fingerprintable problem
-    // is the raw material for the next incremental re-solve.
-    let regions = if stats.converged {
-        capture_seed(graph, problem, &cond, &is_boundary, &rpo_pos, per_region)
+    // A converged full or seeded solve of a fingerprintable problem is the
+    // raw material for the next incremental re-solve; a demand slice never
+    // is.
+    let regions = if stats.converged && in_slice.is_none() {
+        let fps = match seed {
+            Some(seed) => Some(seed.fps),
+            None => node_fingerprints(graph, problem).map(|fp| region_fps(&fp)),
+        };
+        fps.and_then(|fps| {
+            Some(Arc::new(SeedRegions {
+                regions: cond.regions.clone(),
+                local_fp: fps.local_fp,
+                ext_in: fps.ext_in,
+                stats: per_region.into_iter().collect::<Option<Vec<_>>>()?,
+            }))
+        })
     } else {
         None
     };
 
-    if telemetry::is_enabled() {
-        telemetry::metric_add("solver_regions_total", num_regions as f64);
-        telemetry::metric_max(
-            "solver_threads_peak",
-            peak_active.load(Ordering::Relaxed) as f64,
-        );
+    let mut node_in_slice = Vec::new();
+    if let Some(in_slice) = &in_slice {
+        node_in_slice = vec![false; n];
+        for (members, _) in cond.regions.iter().zip(in_slice).filter(|(_, &s)| s) {
+            for nd in members {
+                node_in_slice[nd.index()] = true;
+            }
+        }
     }
-    if span.id().is_some() {
-        span.arg("regions", num_regions);
-        span.arg("largest_region", cond.largest_region());
-        span.arg("threads", workers);
+
+    let traced = span.id().is_some();
+    match plan {
+        Plan::Full => {
+            if telemetry::is_enabled() {
+                telemetry::metric_add("solver_regions_total", num_regions as f64);
+            }
+            if traced {
+                span.arg("regions", num_regions);
+                span.arg("largest_region", cond.largest_region());
+            }
+        }
+        Plan::Seeded { .. } => {
+            if telemetry::is_enabled() {
+                telemetry::metric_add("solver_regions_reused_total", reused as f64);
+                telemetry::metric_add("solver_regions_resolved_total", solved as f64);
+            }
+            if traced {
+                span.arg("regions", num_regions);
+                span.arg("reused", reused);
+                span.arg("resolved", solved);
+            }
+        }
+        Plan::Demand { .. } => {
+            if traced {
+                span.arg("regions", num_regions);
+                span.arg("slice_regions", expected);
+            }
+        }
     }
     close_solver_span(&mut span, &stats, n);
 
-    Solution {
-        direction: problem.direction(),
-        input: input.into_vec(),
-        output: output.into_vec(),
-        stats,
-        regions,
+    RegionRun {
+        solution: Solution {
+            direction: problem.direction(),
+            input,
+            output,
+            stats,
+            regions,
+        },
+        regions_total: num_regions,
+        reused,
+        solved,
+        node_in_slice,
     }
 }
 
 /// Merge per-region accounting into one [`ConvergenceStats`] in region-id
-/// order (deterministic regardless of which thread — or which of the
-/// transplant/re-solve paths — produced each entry). `expected` is how many
-/// regions were *supposed* to run; fewer completions mean the schedule was
-/// cut short, so `converged` is cleared.
+/// order (whichever of the transplant/re-solve paths produced each entry).
+/// `expected` is how many regions were *supposed* to run; fewer completions
+/// mean the schedule was cut short, so `converged` is cleared.
 fn merge_region_stats(
     n: usize,
     cond: &Condensation,
@@ -1781,385 +1432,116 @@ fn node_fingerprints<G: FlowGraph, P: Dataflow>(graph: &G, problem: &P) -> Optio
         .collect()
 }
 
-/// Build the [`SeedRegions`] for a just-completed, fully-converged solve.
-fn capture_seed<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    cond: &Condensation,
-    is_boundary: &[bool],
-    rpo_pos: &[u32],
-    per_region: Vec<Option<RegionStats>>,
-) -> Option<std::sync::Arc<SeedRegions>> {
-    let node_fp = node_fingerprints(graph, problem)?;
-    let backward = problem.direction() == Direction::Backward;
-    let fps = scc::region_fingerprints(graph, cond, &node_fp, is_boundary, rpo_pos, backward);
-    let stats: Option<Vec<RegionStats>> = per_region.into_iter().collect();
-    Some(std::sync::Arc::new(SeedRegions {
-        regions: cond.regions.clone(),
-        local_fp: fps.local_fp,
-        ext_in: fps.ext_in,
-        stats: stats?,
-    }))
+/// A validated seed lined up against the regions of the new graph.
+struct SeedMatch<'p, F> {
+    seed: &'p SeedRegions,
+    prev: &'p Solution<F>,
+    /// Fingerprints of the new graph's regions.
+    fps: scc::RegionFingerprints,
+    /// Old regions by local fingerprint. Deliberately non-consuming:
+    /// several structurally identical new regions may each validate
+    /// against the same old region — each still proves its own upstream
+    /// facts, so every transplant is individually justified.
+    candidates: HashMap<u64, Vec<usize>>,
+    /// New regions holding a declared-dirty node: always re-solved (nodes
+    /// outside the graph cannot name a region and are ignored).
+    force: Vec<bool>,
 }
 
-// ---------------------------------------------------------------------------
-// Incremental re-solve (Solver::seed)
-// ---------------------------------------------------------------------------
-
-/// Find an old region whose structure and upstream facts prove that region
-/// `rid` of the new graph would re-solve to exactly the old facts. Returns
-/// the old region id to transplant from.
-///
-/// The local-fingerprint match guarantees identical member content, member
-/// visit order, internal edges, and external-input *shape*; what remains is
-/// the **input-fact cutoff**: each external upstream edge's source fact
-/// (current, already-final — regions are processed in topological order)
-/// must equal the fact the old run saw. Descriptors are paired by their
-/// graph-independent key; within a run of equal keys the facts are matched
-/// as a multiset. Comm edges compare the source's *input* fact (that is
-/// what `f_comm` reads); all other kinds compare the source's output.
-#[allow(clippy::too_many_arguments)]
-fn find_transplant<F: Clone + PartialEq>(
-    seed: &SeedRegions,
-    candidates: &std::collections::HashMap<u64, Vec<u32>>,
-    fps: &scc::RegionFingerprints,
-    rid: usize,
-    new_members: usize,
-    prev_input: &[F],
-    prev_output: &[F],
-    cur_input: &SharedSlice<F>,
-    cur_output: &SharedSlice<F>,
-) -> Option<u32> {
-    let cands = candidates.get(&fps.local_fp[rid])?;
-    let new_ext = &fps.ext_in[rid];
-    'cand: for &old_rid in cands {
-        let old_ext = &seed.ext_in[old_rid as usize];
-        // Shape equality is implied by the fingerprint; re-checked here so
-        // a (astronomically unlikely) fingerprint collision degrades to a
-        // harmless re-solve instead of a wrong transplant.
-        if old_ext.len() != new_ext.len() || seed.regions[old_rid as usize].len() != new_members {
-            continue;
+impl<'p, F: Clone + PartialEq> SeedMatch<'p, F> {
+    fn new(
+        prev: &'p Solution<F>,
+        fps: scc::RegionFingerprints,
+        cond: &Condensation,
+        dirty: &[NodeId],
+    ) -> Self {
+        let seed = prev.regions.as_deref().expect("validated by Solver::seed");
+        let mut candidates: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (rid, &fp) in seed.local_fp.iter().enumerate() {
+            candidates.entry(fp).or_default().push(rid);
         }
-        for (a, b) in new_ext.iter().zip(old_ext.iter()) {
-            if a.key() != b.key() {
-                continue 'cand;
-            }
-        }
-        // SAFETY: the incremental runner is sequential; no other thread
-        // touches the shared slices, and upstream regions are final.
-        let new_fact = |d: &scc::ExtInEdge| -> &F {
-            if d.is_comm() {
-                unsafe { cur_input.get(d.src.index()) }
-            } else {
-                unsafe { cur_output.get(d.src.index()) }
-            }
-        };
-        let old_fact = |d: &scc::ExtInEdge| -> &F {
-            if d.is_comm() {
-                &prev_input[d.src.index()]
-            } else {
-                &prev_output[d.src.index()]
-            }
-        };
-        let mut i = 0;
-        while i < new_ext.len() {
-            let mut j = i + 1;
-            while j < new_ext.len() && new_ext[j].key() == new_ext[i].key() {
-                j += 1;
-            }
-            // Multiset fact match within the equal-key run (runs are tiny:
-            // parallel edges of one kind from same-fingerprint sources).
-            let mut used = vec![false; j - i];
-            for edge in &new_ext[i..j] {
-                let fa = new_fact(edge);
-                let mut matched = false;
-                for b in i..j {
-                    if !used[b - i] && *fa == *old_fact(&old_ext[b]) {
-                        used[b - i] = true;
-                        matched = true;
-                        break;
-                    }
-                }
-                if !matched {
-                    continue 'cand;
-                }
-            }
-            i = j;
-        }
-        return Some(old_rid);
-    }
-    None
-}
-
-/// Sequential incremental re-solve over the (new) graph: transplant
-/// validated regions, re-solve the rest in topological order. See
-/// [`IncrementalSolver::run`] for the equivalence contract.
-fn run_incremental<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    params: &SolveParams,
-    prev: &Solution<P::Fact>,
-    node_fp: &[u64],
-    dirty: &[NodeId],
-) -> SeededRun<P::Fact> {
-    let seed = prev.regions.as_deref().expect("validated by Solver::seed");
-    let n = graph.num_nodes();
-    let oriented = Oriented::new(graph, problem.direction());
-    let order = oriented.order();
-    let mut rpo_pos = vec![0u32; n];
-    for (i, nd) in order.iter().enumerate() {
-        rpo_pos[nd.index()] = i as u32;
-    }
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
-    let mut span = telemetry::span("solver", "fixpoint:incremental");
-    let started = Instant::now();
-
-    let cond = scc::condense(graph);
-    let num_regions = cond.num_regions();
-    let backward = problem.direction() == Direction::Backward;
-    let fps = scc::region_fingerprints(graph, &cond, node_fp, &is_boundary, &rpo_pos, backward);
-
-    // Dirty planning: a declared-dirty node forces its whole region (nodes
-    // outside the graph cannot name a region and are ignored).
-    let mut force = vec![false; num_regions];
-    for &nd in dirty {
-        if nd.index() < n {
+        let mut force = vec![false; cond.num_regions()];
+        for nd in dirty.iter().filter(|nd| nd.index() < cond.region_of.len()) {
             force[cond.region_of[nd.index()] as usize] = true;
         }
+        SeedMatch {
+            seed,
+            prev,
+            fps,
+            candidates,
+            force,
+        }
     }
 
-    // Candidate old regions by local fingerprint. Deliberately
-    // non-consuming: several structurally identical new regions may each
-    // validate against the same old region — each still proves its own
-    // upstream facts, so every transplant is individually justified.
-    let mut candidates: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
-    for (rid, &fp) in seed.local_fp.iter().enumerate() {
-        candidates.entry(fp).or_default().push(rid as u32);
-    }
-
-    let input = SharedSlice::new(vec![problem.top(); n]);
-    let output = SharedSlice::new(vec![problem.top(); n]);
-    let meter = SharedMeter::new_sequential(&params.budget);
-    let ctx = RegionCtx {
-        oriented: &oriented,
-        problem,
-        cond: &cond,
-        rpo_pos: &rpo_pos,
-        is_boundary: &is_boundary,
-        input: &input,
-        output: &output,
-        meter: &meter,
-        max_passes: params.max_passes,
-    };
-
-    let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
-    let mut reused = 0usize;
-    let mut resolved = 0usize;
-    let mut cache = CommCache::new(n);
-
-    // Region ids are forward-topological; a backward analysis consumes
-    // facts from successor regions, so it walks them in reverse.
-    let schedule: Vec<usize> = if backward {
-        (0..num_regions).rev().collect()
-    } else {
-        (0..num_regions).collect()
-    };
-    for rid in schedule {
-        let transplant = if force[rid] {
-            None
-        } else {
-            find_transplant(
-                seed,
-                &candidates,
-                &fps,
-                rid,
-                cond.regions[rid].len(),
-                &prev.input,
-                &prev.output,
-                &input,
-                &output,
-            )
+    /// Find an old region whose structure and upstream facts prove that
+    /// region `rid` of the new graph would re-solve to exactly the old
+    /// facts. Returns the old region id to transplant from.
+    ///
+    /// The local-fingerprint match guarantees identical member content,
+    /// member visit order, internal edges, and external-input *shape*; what
+    /// remains is the **input-fact cutoff**: each external upstream edge's
+    /// source fact (current, already final) must equal the fact the old
+    /// run saw. Descriptors are paired by their graph-independent key;
+    /// within a run of equal keys the facts are matched as a multiset. Comm
+    /// edges compare the source's *input* fact (that is what `f_comm`
+    /// reads); all other kinds compare the source's output.
+    fn find(&self, rid: usize, members: usize, input: &[F], output: &[F]) -> Option<usize> {
+        if self.force[rid] {
+            return None;
+        }
+        let cands = self.candidates.get(&self.fps.local_fp[rid])?;
+        let new_ext = &self.fps.ext_in[rid];
+        let new_fact = |d: &scc::ExtInEdge| {
+            let facts = if d.is_comm() { input } else { output };
+            &facts[d.src.index()]
         };
-        if let Some(old_rid) = transplant {
-            let old_members = &seed.regions[old_rid as usize];
-            for (i, &nd) in cond.regions[rid].iter().enumerate() {
-                let old = old_members[i];
-                // SAFETY: sequential runner — this is the only live accessor
-                // of the shared slices.
-                unsafe {
-                    *input.get_mut(nd.index()) = prev.input[old.index()].clone();
-                    *output.get_mut(nd.index()) = prev.output[old.index()].clone();
+        let old_fact = |d: &scc::ExtInEdge| {
+            let facts = if d.is_comm() {
+                &self.prev.input
+            } else {
+                &self.prev.output
+            };
+            &facts[d.src.index()]
+        };
+        'cand: for &old_rid in cands {
+            let old_ext = &self.seed.ext_in[old_rid];
+            // Shape equality is implied by the fingerprint; re-checked here
+            // so a (astronomically unlikely) fingerprint collision degrades
+            // to a harmless re-solve instead of a wrong transplant.
+            if old_ext.len() != new_ext.len() || self.seed.regions[old_rid].len() != members {
+                continue;
+            }
+            if new_ext.iter().zip(old_ext).any(|(a, b)| a.key() != b.key()) {
+                continue;
+            }
+            let mut i = 0;
+            while i < new_ext.len() {
+                let mut j = i + 1;
+                while j < new_ext.len() && new_ext[j].key() == new_ext[i].key() {
+                    j += 1;
                 }
+                // Multiset fact match within the equal-key run (runs are
+                // tiny: parallel edges of one kind from same-fingerprint
+                // sources).
+                let mut used = vec![false; j - i];
+                for edge in &new_ext[i..j] {
+                    let fa = new_fact(edge);
+                    let Some(b) = (i..j).find(|&b| !used[b - i] && *fa == *old_fact(&old_ext[b]))
+                    else {
+                        continue 'cand;
+                    };
+                    used[b - i] = true;
+                }
+                i = j;
             }
-            per_region[rid] = Some(seed.stats[old_rid as usize].clone());
-            reused += 1;
-            continue;
+            return Some(old_rid);
         }
-        let rs = solve_region(&ctx, &mut cache, rid as u32);
-        let stop = rs.exhausted.is_some();
-        per_region[rid] = Some(rs);
-        resolved += 1;
-        if stop {
-            break;
-        }
-    }
-
-    let mut stats = merge_region_stats(n, &cond, &per_region, num_regions);
-    stats.elapsed = started.elapsed();
-
-    // An incremental result can itself seed the next edit.
-    let regions = if stats.converged {
-        let stats_vec: Option<Vec<RegionStats>> = per_region.into_iter().collect();
-        stats_vec.map(|sv| {
-            std::sync::Arc::new(SeedRegions {
-                regions: cond.regions.clone(),
-                local_fp: fps.local_fp,
-                ext_in: fps.ext_in,
-                stats: sv,
-            })
-        })
-    } else {
         None
-    };
-
-    if telemetry::is_enabled() {
-        telemetry::metric_add("solver_regions_reused_total", reused as f64);
-        telemetry::metric_add("solver_regions_resolved_total", resolved as f64);
-    }
-    if span.id().is_some() {
-        span.arg("regions", num_regions);
-        span.arg("reused", reused);
-        span.arg("resolved", resolved);
-    }
-    close_solver_span(&mut span, &stats, n);
-
-    SeededRun {
-        solution: Solution {
-            direction: problem.direction(),
-            input: input.into_vec(),
-            output: output.into_vec(),
-            stats,
-            regions,
-        },
-        regions_total: num_regions,
-        regions_reused: reused,
-        regions_resolved: resolved,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Demand-driven slice solve (Solver::demand)
-// ---------------------------------------------------------------------------
-
-/// Solve only the upstream region closure of the demand roots, sequentially
-/// in topological order. Inside the slice every fact is what the
-/// whole-program fixpoint would compute (each solved region reads only
-/// already-final slice regions); outside it, facts stay at lattice top.
-fn run_demand<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    params: &SolveParams,
-    roots: &[NodeId],
-) -> DemandRun<P::Fact> {
-    let n = graph.num_nodes();
-    let oriented = Oriented::new(graph, problem.direction());
-    let order = oriented.order();
-    let mut rpo_pos = vec![0u32; n];
-    for (i, nd) in order.iter().enumerate() {
-        rpo_pos[nd.index()] = i as u32;
-    }
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
-    let mut span = telemetry::span("solver", "fixpoint:demand");
-    let started = Instant::now();
-
-    let cond = scc::condense(graph);
-    let num_regions = cond.num_regions();
-    let backward = problem.direction() == Direction::Backward;
-    let root_regions: Vec<u32> = roots.iter().map(|nd| cond.region_of[nd.index()]).collect();
-    let in_slice = scc::upstream_closure(&cond, &root_regions, backward);
-    let slice_size = in_slice.iter().filter(|&&b| b).count();
-
-    let input = SharedSlice::new(vec![problem.top(); n]);
-    let output = SharedSlice::new(vec![problem.top(); n]);
-    let meter = SharedMeter::new_sequential(&params.budget);
-    let ctx = RegionCtx {
-        oriented: &oriented,
-        problem,
-        cond: &cond,
-        rpo_pos: &rpo_pos,
-        is_boundary: &is_boundary,
-        input: &input,
-        output: &output,
-        meter: &meter,
-        max_passes: params.max_passes,
-    };
-
-    let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
-    let mut cache = CommCache::new(n);
-    let mut solved = 0usize;
-    // Forward-topological ids, walked in direction-adjusted order (see
-    // `run_incremental`).
-    let schedule: Vec<usize> = if backward {
-        (0..num_regions).rev().collect()
-    } else {
-        (0..num_regions).collect()
-    };
-    for rid in schedule {
-        if !in_slice[rid] {
-            continue;
-        }
-        let rs = solve_region(&ctx, &mut cache, rid as u32);
-        let stop = rs.exhausted.is_some();
-        per_region[rid] = Some(rs);
-        solved += 1;
-        if stop {
-            break;
-        }
-    }
-
-    let mut stats = merge_region_stats(n, &cond, &per_region, slice_size);
-    stats.elapsed = started.elapsed();
-
-    let mut node_in_slice = vec![false; n];
-    for (rid, members) in cond.regions.iter().enumerate() {
-        if in_slice[rid] {
-            for nd in members {
-                node_in_slice[nd.index()] = true;
-            }
-        }
-    }
-
-    if span.id().is_some() {
-        span.arg("regions", num_regions);
-        span.arg("slice_regions", slice_size);
-    }
-    close_solver_span(&mut span, &stats, n);
-
-    DemandRun {
-        solution: Solution {
-            direction: problem.direction(),
-            input: input.into_vec(),
-            output: output.into_vec(),
-            stats,
-            regions: None,
-        },
-        regions_total: num_regions,
-        regions_solved: solved,
-        node_in_slice,
     }
 }
 
 /// Sample remaining budget headroom into the trace as counter series (only
-/// called when the sink is enabled, at pass/bucket granularity — never per
-/// node).
+/// called when the sink is enabled, at pass granularity — never per node).
 fn sample_budget_headroom(budget: &Budget, work_done: u64) {
     if let Some(max) = budget.max_work {
         telemetry::counter(
@@ -2274,34 +1656,18 @@ mod tests {
         }
     }
 
-    fn rr<P: Dataflow + Sync, G: FlowGraph + Sync>(g: &G, p: &P) -> Solution<P::Fact>
-    where
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
+    fn rr<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
         Solver::new(p, g).strategy(Strategy::RoundRobin).run()
     }
 
-    fn wl<P: Dataflow + Sync, G: FlowGraph + Sync>(g: &G, p: &P) -> Solution<P::Fact>
-    where
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
-        Solver::new(p, g).strategy(Strategy::Worklist).run()
+    fn rg<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
+        Solver::new(p, g).strategy(Strategy::Region).run()
     }
 
-    fn rp<P: Dataflow + Sync, G: FlowGraph + Sync>(
-        g: &G,
-        p: &P,
-        threads: usize,
-    ) -> Solution<P::Fact>
-    where
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
-        Solver::new(p, g)
-            .strategy(Strategy::RegionParallel { threads })
-            .run()
+    /// Stats with the wall clock zeroed, for exact comparisons.
+    fn timeless(mut s: ConvergenceStats) -> ConvergenceStats {
+        s.elapsed = Duration::ZERO;
+        s
     }
 
     /// The graph used by several equivalence tests: branches, a loop, and
@@ -2400,52 +1766,25 @@ mod tests {
     }
 
     #[test]
-    fn worklist_matches_round_robin() {
+    fn region_engine_matches_round_robin() {
         let (g, p) = loopy_comm_graph();
-        let a = rr(&g, &p);
-        let b = wl(&g, &p);
-        assert_eq!(a.input, b.input);
-        assert_eq!(a.output, b.output);
-        assert!(b.stats.node_visits <= a.stats.node_visits);
+        let reference = rr(&g, &p);
+        let sol = rg(&g, &p);
+        assert_eq!(sol.input, reference.input);
+        assert_eq!(sol.output, reference.output);
+        assert!(sol.stats.converged);
+        assert!(sol.stats.comm_evals > 0);
+        assert!(sol.stats.node_visits <= reference.stats.node_visits);
     }
 
     #[test]
-    fn region_parallel_matches_worklist_at_every_thread_count() {
+    fn region_engine_stats_are_deterministic() {
         let (g, p) = loopy_comm_graph();
-        let reference = wl(&g, &p);
-        for threads in [1, 2, 8] {
-            let sol = rp(&g, &p, threads);
-            assert_eq!(sol.input, reference.input, "threads={threads}");
-            assert_eq!(sol.output, reference.output, "threads={threads}");
-            assert!(sol.stats.converged);
-            assert!(sol.stats.comm_evals > 0);
-        }
-        // Auto thread count too.
-        let auto = rp(&g, &p, 0);
-        assert_eq!(auto.input, reference.input);
-        assert_eq!(auto.output, reference.output);
+        assert_eq!(timeless(rg(&g, &p).stats), timeless(rg(&g, &p).stats));
     }
 
     #[test]
-    fn region_parallel_stats_are_thread_count_independent() {
-        let (g, p) = loopy_comm_graph();
-        let s1 = rp(&g, &p, 1).stats;
-        for threads in [2, 3, 8] {
-            let s = rp(&g, &p, threads).stats;
-            assert_eq!(s.passes, s1.passes, "threads={threads}");
-            assert_eq!(s.node_visits, s1.node_visits, "threads={threads}");
-            assert_eq!(s.comm_evals, s1.comm_evals, "threads={threads}");
-            assert_eq!(s.meets, s1.meets, "threads={threads}");
-            assert_eq!(s.worklist_peak, s1.worklist_peak, "threads={threads}");
-            assert_eq!(s.pass_deltas, s1.pass_deltas, "threads={threads}");
-            assert_eq!(s.per_node_visits, s1.per_node_visits, "threads={threads}");
-            assert_eq!(s.converged, s1.converged, "threads={threads}");
-            assert_eq!(s.exhausted, s1.exhausted, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn region_parallel_backward_direction() {
+    fn region_engine_backward_direction() {
         struct Live;
         impl Dataflow for Live {
             type Fact = bool;
@@ -2477,12 +1816,10 @@ mod tests {
         g.flow(3, 4);
         g.set_entry(0);
         g.set_exit(4);
-        let reference = wl(&g, &Live);
-        for threads in [1, 2, 8] {
-            let sol = rp(&g, &Live, threads);
-            assert_eq!(sol.input, reference.input, "threads={threads}");
-            assert_eq!(sol.output, reference.output, "threads={threads}");
-        }
+        let reference = rr(&g, &Live);
+        let sol = rg(&g, &Live);
+        assert_eq!(sol.input, reference.input);
+        assert_eq!(sol.output, reference.output);
         assert!(reference.output.iter().all(|&b| b));
     }
 
@@ -2563,10 +1900,10 @@ mod tests {
         assert_eq!(sol.stats.passes, 50);
         // Pass-bound non-convergence is distinct from budget exhaustion.
         assert_eq!(sol.stats.exhausted, None);
-        // The region-parallel strategy hits its per-region visit bound too
-        // instead of spinning forever.
+        // The region engine hits its per-region round bound too instead of
+        // spinning forever.
         let par = Solver::new(&Flip, &g)
-            .strategy(Strategy::RegionParallel { threads: 2 })
+            .strategy(Strategy::Region)
             .max_passes(50)
             .run();
         assert!(!par.stats.converged);
@@ -2597,7 +1934,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_stops_worklist_and_is_reported() {
+    fn region_engine_enforces_max_work_itself() {
+        // The region engine meters `max_work` inline, so a capped run stops
+        // at the same node every time.
         let mut g = SimpleGraph::new(4);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -2607,61 +1946,32 @@ mod tests {
         g.set_exit(3);
         let mut p = toy(4);
         p.gen[0] = Some(1);
-        let sol = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
-            .budget(crate::budget::Budget::unlimited().with_max_work(3))
-            .run();
-        assert!(!sol.stats.converged);
+        let capped = || {
+            Solver::new(&p, &g)
+                .strategy(Strategy::Region)
+                .budget(crate::budget::Budget::unlimited().with_max_work(3))
+                .run()
+        };
+        let (a, b) = (capped(), capped());
+        assert!(!a.stats.converged);
         assert_eq!(
-            sol.stats.exhausted,
+            a.stats.exhausted,
             Some(crate::budget::Exhaustion::WorkUnits)
         );
-        assert!(sol.stats.node_visits <= 3);
+        assert_eq!(a.stats.exhausted, b.stats.exhausted);
+        assert_eq!(timeless(a.stats.clone()), timeless(b.stats));
+        assert_eq!(a.input, b.input);
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.stats.node_visits, 3);
     }
 
     #[test]
-    fn region_parallel_with_deterministic_cap_degrades_to_worklist() {
-        // A `max_work` cap must produce the exact sequential-worklist
-        // outcome (the strategy degrades), keeping exhaustion reproducible.
-        let mut g = SimpleGraph::new(4);
-        g.flow(0, 1);
-        g.flow(1, 2);
-        g.flow(2, 1);
-        g.flow(2, 3);
-        g.set_entry(0);
-        g.set_exit(3);
-        let mut p = toy(4);
-        p.gen[0] = Some(1);
-        let budget = || crate::budget::Budget::unlimited().with_max_work(3);
-        let seq = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
-            .budget(budget())
-            .run();
-        let par = Solver::new(&p, &g)
-            .strategy(Strategy::RegionParallel { threads: 8 })
-            .budget(budget())
-            .run();
-        assert_eq!(par.input, seq.input);
-        assert_eq!(par.output, seq.output);
-        let mut a = par.stats.clone();
-        let mut b = seq.stats.clone();
-        a.elapsed = Duration::ZERO;
-        b.elapsed = Duration::ZERO;
-        assert_eq!(a, b, "degraded run is the sequential worklist, exactly");
-        assert_eq!(
-            par.stats.exhausted,
-            Some(crate::budget::Exhaustion::WorkUnits)
-        );
-        assert!(par.stats.node_visits <= 3);
-    }
-
-    #[test]
-    fn region_parallel_observes_cancellation_across_threads() {
+    fn region_engine_observes_cancellation() {
         let token = crate::budget::CancelToken::new();
         token.cancel(); // pre-cancelled: every region must refuse to start
         let (g, p) = loopy_comm_graph();
         let sol = Solver::new(&p, &g)
-            .strategy(Strategy::RegionParallel { threads: 4 })
+            .strategy(Strategy::Region)
             .budget(crate::budget::Budget::unlimited().with_cancel(token))
             .run();
         assert!(!sol.stats.converged);
@@ -2673,10 +1983,10 @@ mod tests {
     }
 
     #[test]
-    fn region_parallel_expired_deadline_stops_immediately() {
+    fn region_engine_expired_deadline_stops_immediately() {
         let (g, p) = loopy_comm_graph();
         let sol = Solver::new(&p, &g)
-            .strategy(Strategy::RegionParallel { threads: 2 })
+            .strategy(Strategy::Region)
             .budget(crate::budget::Budget::unlimited().with_deadline_ms(0))
             .run();
         assert!(!sol.stats.converged);
@@ -2696,9 +2006,8 @@ mod tests {
         let mut p = toy(3);
         p.gen[0] = Some(7);
         let a = rr(&g, &p);
-        let b = wl(&g, &p);
-        let c = rp(&g, &p, 2);
-        for s in [&a.stats, &b.stats, &c.stats] {
+        let b = rg(&g, &p);
+        for s in [&a.stats, &b.stats] {
             assert!(s.node_visits > 0);
             assert!(s.converged);
             assert_eq!(s.exhausted, None);
@@ -2739,7 +2048,7 @@ mod tests {
         g.set_exit(3);
         let mut p = toy(4);
         p.gen[0] = Some(1);
-        for sol in [rr(&g, &p), wl(&g, &p), rp(&g, &p, 3)] {
+        for sol in [rr(&g, &p), rg(&g, &p)] {
             assert_eq!(sol.stats.per_node_visits.len(), 4);
             assert_eq!(
                 sol.stats.per_node_visits.iter().sum::<u64>(),
@@ -2770,7 +2079,7 @@ mod tests {
     }
 
     #[test]
-    fn worklist_tracks_queue_high_water() {
+    fn region_engine_tracks_queue_high_water() {
         let mut g = SimpleGraph::new(5);
         g.flow(0, 1);
         g.flow(0, 2);
@@ -2781,16 +2090,14 @@ mod tests {
         g.set_exit(4);
         let mut p = toy(5);
         p.gen[0] = Some(2);
-        let sol = wl(&g, &p);
-        // The initial seeding puts every node on the queue.
-        assert!(sol.stats.worklist_peak >= 5, "{}", sol.stats.worklist_peak);
         // Round-robin has no queue.
-        let rr_sol = rr(&g, &p);
-        assert_eq!(rr_sol.stats.worklist_peak, 0);
-        // Region-parallel: peak is the max per-region high-water — on this
-        // acyclic graph every region is a single node, so the peak is 1.
-        let rp_sol = rp(&g, &p, 2);
-        assert_eq!(rp_sol.stats.worklist_peak, 1);
+        assert_eq!(rr(&g, &p).stats.worklist_peak, 0);
+        // The region engine's peak is the max per-region high-water — on
+        // this acyclic graph every region is a single node, so it is 1.
+        assert_eq!(rg(&g, &p).stats.worklist_peak, 1);
+        // A 4-node loop region seeds all of its nodes at once.
+        let (g, p) = loopy_comm_graph();
+        assert!(rg(&g, &p).stats.worklist_peak >= 4);
     }
 
     #[test]
@@ -2873,7 +2180,7 @@ mod tests {
         let mut p = toy(3);
         p.gen[0] = Some(7);
         let s1 = rr(&g, &p).stats;
-        let s2 = wl(&g, &p).stats;
+        let s2 = rg(&g, &p).stats;
         let mut acc = ConvergenceStats {
             converged: true,
             ..Default::default()
@@ -2912,19 +2219,18 @@ mod tests {
     }
 
     #[test]
-    fn region_parallel_publishes_region_metrics() {
+    fn region_engine_publishes_region_metrics() {
         use crate::telemetry::{self, TraceLevel, TEST_SINK_GATE};
         let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
         telemetry::install(TraceLevel::Full);
-        let _ = rp(&g, &p, 2);
+        let _ = rg(&g, &p);
         let report = telemetry::finish();
         assert!(
             report.metrics.get("solver_regions_total").copied() > Some(0.0),
             "metrics: {:?}",
             report.metrics.keys().collect::<Vec<_>>()
         );
-        assert!(report.metrics.get("solver_threads_peak").copied() >= Some(1.0));
         // Per-region spans exist under the solver category.
         assert!(report
             .events
@@ -2972,37 +2278,49 @@ mod tests {
         g.set_exit(1);
         let sol = rr(&g, &Inc);
         assert_eq!(sol.input[1], ConstLattice::Const(11));
-        // Translate must behave identically across strategies.
-        let par = rp(&g, &Inc, 2);
+        // Translate must behave identically in both engines.
+        let par = rg(&g, &Inc);
         assert_eq!(par.input, sol.input);
         assert_eq!(par.output, sol.output);
     }
 
     #[test]
-    fn strategy_parse_and_display_round_trip() {
+    fn strategy_parse_accepts_every_legacy_spelling() {
         for (text, want) in [
             ("round-robin", Strategy::RoundRobin),
-            ("worklist", Strategy::Worklist),
-            ("region-parallel", Strategy::RegionParallel { threads: 0 }),
-            ("region-parallel:4", Strategy::RegionParallel { threads: 4 }),
-            ("region-parallel:1", Strategy::RegionParallel { threads: 1 }),
+            ("worklist", Strategy::Region),
+            ("region-parallel", Strategy::Region),
+            ("region-parallel:1", Strategy::Region),
+            ("region-parallel:4", Strategy::Region),
+            ("region-parallel:64", Strategy::Region),
         ] {
-            let parsed = Strategy::parse(text).unwrap();
-            assert_eq!(parsed, want);
-            assert_eq!(parsed.to_string(), text, "display round-trips");
+            assert_eq!(Strategy::parse(text), Ok(want), "{text}");
         }
-        assert!(Strategy::parse("bogus").is_err());
-        assert!(Strategy::parse("region-parallel:0").is_err());
-        assert!(Strategy::parse("region-parallel:x").is_err());
-        assert!(Strategy::parse("Worklist").is_err(), "case-sensitive");
+        // Display names one spelling per engine, and it parses back.
+        for s in [Strategy::RoundRobin, Strategy::Region] {
+            assert_eq!(Strategy::parse(&s.to_string()), Ok(s));
+        }
+        assert_eq!(Strategy::Region.to_string(), "region-parallel");
+        for bad in [
+            "bogus",
+            "",
+            "region-parallel:0",
+            "region-parallel:x",
+            "region-parallel:",
+            "region-parallel:-1",
+            "Worklist",
+            "region",
+        ] {
+            assert!(Strategy::parse(bad).is_err(), "{bad:?} must be rejected");
+        }
         // `from_env_or` honors the given default unless the environment
-        // names a parsable strategy (as CI's solver-parallel job does, so
+        // names a parsable strategy (as CI's region-engine job does, so
         // this assertion must not assume the variable is unset).
         let expect = std::env::var(STRATEGY_ENV)
             .ok()
             .and_then(|v| Strategy::parse(v.trim()).ok())
-            .unwrap_or(Strategy::Worklist);
-        assert_eq!(Strategy::from_env_or(Strategy::Worklist), expect);
+            .unwrap_or(Strategy::Region);
+        assert_eq!(Strategy::from_env_or(Strategy::Region), expect);
     }
 
     // -- incremental (Solver::seed) ----------------------------------------
@@ -3022,15 +2340,14 @@ mod tests {
     }
 
     #[test]
-    fn seed_requires_a_region_parallel_solution() {
+    fn seed_requires_a_region_engine_solution() {
         let (g, p) = loopy_comm_graph();
-        assert!(rr(&g, &p).regions.is_none());
-        assert!(wl(&g, &p).regions.is_none());
         let cold = rr(&g, &p);
+        assert!(cold.regions.is_none());
         let err = Solver::new(&p, &g).seed(&cold).err().unwrap();
         assert_eq!(err, SolverConfigError::SeedWithoutRegions);
-        // Converged region-parallel runs capture a seed.
-        let warm = rp(&g, &p, 2);
+        // Converged region-engine runs capture a seed.
+        let warm = rg(&g, &p);
         assert!(warm.regions.is_some());
         assert!(Solver::new(&p, &g).seed(&warm).is_ok());
     }
@@ -3064,7 +2381,7 @@ mod tests {
             }
         }
         let (g, p) = loopy_comm_graph();
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         let back = BackToy(toy(6));
         assert_eq!(
             Solver::new(&back, &g).seed(&warm).err().unwrap(),
@@ -3073,7 +2390,7 @@ mod tests {
                 got: Direction::Forward,
             }
         );
-        let mut stale = rp(&g, &p, 2);
+        let mut stale = rg(&g, &p);
         stale.stats.converged = false;
         assert_eq!(
             Solver::new(&p, &g).seed(&stale).err().unwrap(),
@@ -3111,7 +2428,7 @@ mod tests {
         g.flow(0, 1);
         g.set_entry(0);
         g.set_exit(1);
-        let warm = rp(&g, &NoFp, 2);
+        let warm = rg(&g, &NoFp);
         // The run itself cannot even capture a seed...
         assert!(warm.regions.is_none());
         // ...so seeding reports the missing regions first; a hand-made
@@ -3126,7 +2443,7 @@ mod tests {
     #[test]
     fn incremental_identity_edit_transplants_everything_byte_identically() {
         let (g, p) = loopy_comm_graph();
-        let cold = rp(&g, &p, 2);
+        let cold = rg(&g, &p);
         let run = Solver::new(&p, &g).seed(&cold).unwrap().dirty(&[]).run();
         assert_eq!(run.regions_reused, run.regions_total);
         assert_eq!(run.regions_resolved, 0);
@@ -3145,7 +2462,7 @@ mod tests {
     #[test]
     fn incremental_gen_change_resolves_only_downstream_regions() {
         let (g, p) = chain(12, 3);
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         // Edit: node 6 now generates 5 instead of passing through. Its
         // fingerprint changes (forced re-solve) and every downstream
         // region's upstream fact changes (fact-cutoff re-solve); nodes
@@ -3153,7 +2470,7 @@ mod tests {
         let mut edited = toy(12);
         edited.gen[0] = Some(3);
         edited.gen[6] = Some(5);
-        let cold = rp(&g, &edited, 2);
+        let cold = rg(&g, &edited);
         let run = Solver::new(&edited, &g)
             .seed(&warm)
             .unwrap()
@@ -3172,7 +2489,7 @@ mod tests {
         // node spliced in the middle, with different node ids downstream —
         // the structural fingerprints must still line regions up.
         let (g_old, p_old) = chain(8, 3);
-        let warm = rp(&g_old, &p_old, 2);
+        let warm = rg(&g_old, &p_old);
         // New graph: 0 -> .. -> 4 -> 8(new) -> 5 -> 6 -> 7.
         let mut g_new = SimpleGraph::new(9);
         for i in 0..4 {
@@ -3186,7 +2503,7 @@ mod tests {
         g_new.set_exit(7);
         let mut p_new = toy(9);
         p_new.gen[0] = Some(3);
-        let cold = rp(&g_new, &p_new, 2);
+        let cold = rg(&g_new, &p_new);
         let run = Solver::new(&p_new, &g_new)
             .seed(&warm)
             .unwrap()
@@ -3202,7 +2519,7 @@ mod tests {
     #[test]
     fn incremental_ignores_out_of_range_dirty_nodes() {
         let (g, p) = loopy_comm_graph();
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         let run = Solver::new(&p, &g)
             .seed(&warm)
             .unwrap()
@@ -3215,7 +2532,7 @@ mod tests {
     #[test]
     fn incremental_respects_work_budget() {
         let (g, p) = chain(12, 3);
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         let mut edited = toy(12);
         edited.gen[0] = Some(3);
         edited.gen[1] = Some(5); // early change: 11 regions must re-solve
@@ -3239,7 +2556,7 @@ mod tests {
         use crate::telemetry::{self, TraceLevel, TEST_SINK_GATE};
         let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         telemetry::install(TraceLevel::Full);
         let _ = Solver::new(&p, &g).seed(&warm).unwrap().dirty(&[]).run();
         let report = telemetry::finish();
@@ -3262,29 +2579,32 @@ mod tests {
     // -- demand (Solver::demand) -------------------------------------------
 
     #[test]
-    fn demand_rejects_region_parallel_and_out_of_range_roots() {
+    fn demand_accepts_either_strategy_and_rejects_out_of_range_roots() {
         let (g, p) = loopy_comm_graph();
-        assert_eq!(
+        let run = |strategy| {
             Solver::new(&p, &g)
-                .strategy(Strategy::RegionParallel { threads: 2 })
-                .demand(NodeId(0))
-                .err()
-                .unwrap(),
-            SolverConfigError::DemandWithRegionParallel
+                .strategy(strategy)
+                .demand(NodeId(1))
+                .unwrap()
+                .run()
+        };
+        let (a, b) = (run(Strategy::RoundRobin), run(Strategy::Region));
+        assert_eq!(a.solution.input, b.solution.input);
+        assert_eq!(a.solution.output, b.solution.output);
+        assert_eq!(a.node_in_slice, b.node_in_slice);
+        assert_eq!(
+            timeless(a.solution.stats),
+            timeless(b.solution.stats),
+            "the strategy does not reach the demand engine"
         );
         assert_eq!(
-            Solver::new(&p, &g)
-                .strategy(Strategy::Worklist)
-                .demand(NodeId(99))
-                .err()
-                .unwrap(),
+            Solver::new(&p, &g).demand(NodeId(99)).err().unwrap(),
             SolverConfigError::NodeOutOfRange {
                 node: NodeId(99),
                 num_nodes: 6,
             }
         );
         let chained = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
             .demand(NodeId(0))
             .unwrap()
             .demand(NodeId(99));
@@ -3294,14 +2614,10 @@ mod tests {
     #[test]
     fn demand_slice_facts_match_the_full_fixpoint() {
         let (g, p) = loopy_comm_graph();
-        let full = wl(&g, &p);
+        let full = rr(&g, &p);
         // Node 1 lives in the comm-loop region {1,2,3,4}; its upstream
         // closure is {0} ∪ {1,2,3,4} — node 5's region stays unsolved.
-        let run = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
-            .demand(NodeId(1))
-            .unwrap()
-            .run();
+        let run = Solver::new(&p, &g).demand(NodeId(1)).unwrap().run();
         assert_eq!(run.regions_total, 3);
         assert_eq!(run.regions_solved, 2);
         assert!(!run.node_in_slice[5]);
@@ -3322,7 +2638,7 @@ mod tests {
     #[test]
     fn demand_union_of_roots_covers_both_slices() {
         let (g, p) = chain(10, 7);
-        let full = wl(&g, &p);
+        let full = rr(&g, &p);
         let run = Solver::new(&p, &g)
             .demand(NodeId(2))
             .unwrap()
@@ -3371,7 +2687,7 @@ mod tests {
         g.flow(2, 3);
         g.set_entry(0);
         g.set_exit(3);
-        let full = wl(&g, &Live);
+        let full = rr(&g, &Live);
         let run = Solver::new(&Live, &g).demand(NodeId(2)).unwrap().run();
         // Backward: "upstream" is the exit side — the slice is 2, 3.
         assert_eq!(run.node_in_slice, vec![false, false, true, true]);
@@ -3385,10 +2701,6 @@ mod tests {
             (SolverConfigError::SeedNotConverged, "converge"),
             (SolverConfigError::SeedWithoutRegions, "region"),
             (SolverConfigError::FingerprintsUnavailable, "fingerprint"),
-            (
-                SolverConfigError::DemandWithRegionParallel,
-                "region-parallel",
-            ),
             (
                 SolverConfigError::NodeOutOfRange {
                     node: NodeId(9),

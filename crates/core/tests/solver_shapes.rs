@@ -142,16 +142,11 @@ fn comm_edge_chain_adds_one_pass_per_hop_at_worst() {
         "{} passes for {p} comm hops (depth-proportional, not worst-case)",
         sol.stats.passes
     );
-    // The worklist agrees.
-    let wl = Solver::new(&problem, &g).strategy(Strategy::Worklist).run();
-    assert_eq!(wl.output, sol.output);
-    // And so does the region-parallel engine: each send/recv pair is its
-    // own region here, chained by comm edges in topological order.
-    let rp = Solver::new(&problem, &g)
-        .strategy(Strategy::RegionParallel { threads: 4 })
-        .run();
-    assert_eq!(rp.output, sol.output);
-    assert_eq!(rp.input, sol.input);
+    // The region engine agrees: each send/recv pair is its own region
+    // here, chained by comm edges in topological order.
+    let rg = Solver::new(&problem, &g).strategy(Strategy::Region).run();
+    assert_eq!(rg.output, sol.output);
+    assert_eq!(rg.input, sol.input);
 }
 
 #[test]
@@ -177,14 +172,12 @@ fn irreducible_comm_cycle_converges() {
     // The boundary constant enters at 0, flows to 1, hops the comm edge
     // into the second segment, and reaches 3 despite the graph-level cycle.
     assert_eq!(sol.output[3], ConstLattice::Const(7));
-    // The comm cycle condenses into a single region, so the region-parallel
-    // strategy degrades gracefully to one sequential region — and agrees.
-    let rp = Solver::new(&problem, &g)
-        .strategy(Strategy::RegionParallel { threads: 8 })
-        .run();
-    assert!(rp.stats.converged);
-    assert_eq!(rp.output, sol.output);
-    assert_eq!(rp.input, sol.input);
+    // The comm cycle condenses into a single region, which the region
+    // engine solves to the same fixpoint.
+    let rg = Solver::new(&problem, &g).strategy(Strategy::Region).run();
+    assert!(rg.stats.converged);
+    assert_eq!(rg.output, sol.output);
+    assert_eq!(rg.input, sol.input);
 }
 
 #[test]

@@ -30,6 +30,7 @@
 use crate::proto::{Request, RequestKind};
 use mpi_dfa_core::cache::{DiskStore, SharedLru};
 use mpi_dfa_core::hash::Hasher128;
+use mpi_dfa_core::solver::{SolveParams, Strategy};
 use mpi_dfa_graph::cfg::ProcCfg;
 use mpi_dfa_graph::icfg::ProgramIr;
 use std::sync::Arc;
@@ -45,7 +46,11 @@ use std::sync::Arc;
 /// answer (a slice) can never be served for a full-solve key or vice
 /// versa. `prev` (the seed's request id) stays **out** of the key:
 /// incremental answers are byte-identical to cold ones.
-pub const CACHE_SCHEMA_VERSION: u64 = 4;
+/// v5: capped requests (`max_visits`, or a non-default `max_passes`) key
+/// on the solver engine, because a cap stops the two engines at different
+/// points; v4 entries for capped requests may hold the other engine's
+/// answer.
+pub const CACHE_SCHEMA_VERSION: u64 = 5;
 
 /// Key for a whole-program IR: exact source text.
 pub fn source_key(source: &str) -> u128 {
@@ -82,12 +87,15 @@ pub fn proc_cfg_key(sub_content: &str, locs_fingerprint: u128, proc_index: usize
 /// Deterministic budget caps (`max_visits`, `max_fact_bytes`,
 /// `max_passes`) *are* cacheable and are part of the key.
 ///
-/// The `solver` strategy is deliberately **excluded**: every strategy
-/// produces byte-identical facts (see `docs/SOLVER.md`), so a result
-/// computed under one strategy is a valid hit for any other — the warm
-/// cache is shared across strategies. (Non-semantic solver counters
-/// embedded in a cached rendering reflect whichever strategy populated
-/// the entry.)
+/// The `solver` engine joins the key only for **capped** requests — a
+/// `max_visits` work cap or a `max_passes` other than the default. An
+/// uncapped solve reaches the same fixpoint on either engine (see
+/// `docs/SOLVER.md`), so the warm cache is shared across engines and every
+/// spelling of them. (Non-semantic solver counters embedded in a cached
+/// rendering reflect whichever engine populated the entry.) A cap stops
+/// round-robin and the region engine at different points, so a capped
+/// answer is valid only for the engine that computed it; the engine is the
+/// resolved one (`solver`, else the process default).
 ///
 /// `prev` (an `analyze-delta` request's seed id) is likewise excluded:
 /// incremental answers are byte-identical to cold ones (enforced by
@@ -127,6 +135,11 @@ pub fn result_key(req: &Request, source_hash: u128, effective_max_passes: u64) -
         .write_opt_u64(req.max_visits)
         .write_opt_u64(req.max_fact_bytes)
         .write_u64(effective_max_passes);
+    if req.max_visits.is_some() || effective_max_passes != SolveParams::default().max_passes as u64
+    {
+        let engine = req.solver.unwrap_or_else(Strategy::session_default);
+        h.write_str(&engine.to_string());
+    }
     Some(h.finish())
 }
 
@@ -224,10 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn solver_strategy_is_not_part_of_the_result_key() {
-        // All strategies produce identical facts, so a warm cache must hit
-        // across them — the strategy is excluded from the key on purpose.
-        let base = result_key(&req(""), 42, 100).unwrap();
+    fn solver_engine_is_not_part_of_an_uncapped_result_key() {
+        // Both engines reach the same fixpoint, so a warm cache must hit
+        // across them — an uncapped key leaves the engine out on purpose.
+        let default_passes = SolveParams::default().max_passes as u64;
+        let base = result_key(&req(""), 42, default_passes).unwrap();
         for solver in [
             r#","solver":"round-robin""#,
             r#","solver":"worklist""#,
@@ -235,10 +249,32 @@ mod tests {
             r#","solver":"region-parallel:8""#,
         ] {
             assert_eq!(
-                result_key(&req(solver), 42, 100),
+                result_key(&req(solver), 42, default_passes),
                 Some(base),
-                "{solver} must share the strategy-agnostic key"
+                "{solver} must share the engine-agnostic key"
             );
+        }
+    }
+
+    #[test]
+    fn capped_result_keys_name_the_engine() {
+        // A work or pass cap stops the two engines at different points, so
+        // a capped answer must never be served to the other engine. Every
+        // spelling of one engine still shares a key.
+        let default_passes = SolveParams::default().max_passes as u64;
+        for (cap, passes) in [(r#","max_visits":50"#, default_passes), ("", 2)] {
+            let key = |solver: &str| {
+                let extra = format!(r#"{cap},"solver":"{solver}""#);
+                result_key(&req(&extra), 42, passes).unwrap()
+            };
+            let region = key("region-parallel");
+            assert_ne!(key("round-robin"), region, "cap {cap:?} passes {passes}");
+            for spelling in ["worklist", "region-parallel:1", "region-parallel:8"] {
+                assert_eq!(key(spelling), region, "{spelling}");
+            }
+            // Without `solver` the key names the process default engine.
+            let unnamed = result_key(&req(cap), 42, passes).unwrap();
+            assert_eq!(unnamed, key(&Strategy::session_default().to_string()));
         }
     }
 

@@ -91,7 +91,7 @@ struct SeedEntry {
 
 /// Bounded FIFO map from `analyze` request id → seed. Populated by every
 /// computed precise T0 `analyze` whose solutions captured seed regions
-/// (i.e. a converged region-parallel solve); consulted by `analyze-delta`
+/// (i.e. a converged region-engine solve); consulted by `analyze-delta`
 /// via its `prev` field.
 /// FIFO insertion order paired with the id → seed map it bounds.
 type SeedEntries = (HashMap<u64, Arc<SeedEntry>>, VecDeque<u64>);
@@ -749,7 +749,7 @@ impl Engine {
 
     /// Retain `result` as an incremental seed when it can actually seed a
     /// re-solve: a precise, converged T0 `mpi` analysis whose solutions
-    /// carry solver regions (only converged region-parallel runs capture
+    /// carry solver regions (only converged region-engine runs capture
     /// them — see `docs/INCREMENTAL.md`).
     fn maybe_seed(
         &self,
@@ -1072,11 +1072,11 @@ mod tests {
 
     #[test]
     fn warm_cache_hits_across_solver_strategies() {
-        // Satellite regression: the strategy is excluded from the result
-        // cache key because all strategies produce identical facts. A
-        // result computed under the worklist must be served as a *hit* to
-        // a region-parallel request for the same analysis — and the ids
-        // aside, the payload must be the very same cached bytes.
+        // Regression: the engine is excluded from an uncapped result cache
+        // key because both engines produce identical facts. A result
+        // computed under one spelling must be served as a *hit* to every
+        // other spelling of either engine — and the ids aside, the payload
+        // must be the very same cached bytes.
         let e = engine();
         let miss = e.handle(&parse(
             r#"{"id":1,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"worklist"}"#,
@@ -1127,6 +1127,38 @@ mod tests {
         // And a repeat of each now hits its own entry.
         assert!(e.handle(&auto).contains("\"cache\":\"hit\""));
         assert!(e.handle(&off).contains("\"cache\":\"hit\""));
+    }
+
+    #[test]
+    fn capped_answers_are_not_shared_across_engines() {
+        // Regression: a cap stops round-robin and the region engine at
+        // different points (on LU `rhs` they land on different tiers), so
+        // the second engine's capped request must miss and answer exactly
+        // what a fresh engine answers.
+        let lu = r#""kind":"analyze","program":"lu","context":"rhs","clone":1,"ind":["u"],"dep":["rsd"]"#;
+        for cap in [r#""max_visits":50"#, r#""max_passes":2"#] {
+            let request = |id: u32, solver: &str| {
+                parse(&format!(r#"{{"id":{id},{lu},{cap},"solver":"{solver}"}}"#))
+            };
+            let e = engine();
+            let first = e.handle(&request(1, "round-robin"));
+            assert!(first.contains("\"cache\":\"miss\""), "{first}");
+            let second = e.handle(&request(2, "region-parallel:1"));
+            assert!(second.contains("\"cache\":\"miss\""), "{cap}: {second}");
+            assert_eq!(second, engine().handle(&request(2, "region-parallel:1")));
+            assert_ne!(
+                first.replace("\"id\":1", "\"id\":2"),
+                second,
+                "{cap}: the engines must answer differently for this test to bite"
+            );
+            // Each engine's entry still serves its own repeats.
+            assert!(e
+                .handle(&request(3, "round-robin"))
+                .contains("\"cache\":\"hit\""));
+            assert!(e
+                .handle(&request(4, "worklist"))
+                .contains("\"cache\":\"hit\""));
+        }
     }
 
     #[test]
@@ -1394,7 +1426,7 @@ mod tests {
     #[test]
     fn analyze_delta_is_partial_and_byte_identical_to_cold() {
         let e = engine();
-        // Seed: a precise converged region-parallel analyze.
+        // Seed: a precise converged region-engine analyze.
         let seed_resp = e.handle(&parse(&analyze_line(10, "analyze", DELTA_BASE, "")));
         assert!(seed_resp.contains("\"cache\":\"miss\""), "{seed_resp}");
         // Incremental re-analyze of the edited source.

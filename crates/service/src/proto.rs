@@ -198,10 +198,11 @@ pub struct Request {
     pub max_fact_bytes: Option<u64>,
     pub degrade: DegradeMode,
     pub max_passes: Option<u64>,
-    /// Fixpoint strategy (`round-robin` | `worklist` | `region-parallel` |
-    /// `region-parallel:N`). Deliberately **not** part of the result cache
-    /// key: every strategy produces identical facts (`docs/SOLVER.md`), so
-    /// a result computed under one strategy is a valid hit for any other.
+    /// Fixpoint engine (`round-robin`, or the region engine spelled
+    /// `region-parallel`, `region-parallel:N` or `worklist`). Part of the
+    /// result cache key only for capped requests: uncapped, both engines
+    /// produce identical facts (`docs/SOLVER.md`), so a result computed
+    /// under one is a valid hit for the other.
     pub solver: Option<Strategy>,
     /// For `analyze-delta`: the request id of a previous `analyze`
     /// response whose solver regions seed the re-solve. Deliberately

@@ -20,10 +20,12 @@
 //! labelled `cache: hit|miss` in Table 1 and the JSON report; runs under a
 //! wall-clock `--budget-ms` bypass the cache.
 //!
-//! Every command accepts `--solver round-robin|worklist|region-parallel[:N]`
-//! to pick the fixpoint strategy for every solve in the run. Strategies
+//! Every command accepts `--solver round-robin|region-parallel` to pick the
+//! fixpoint engine for every solve in the run (`region-parallel:N` and
+//! `worklist` also select the region engine). Uncapped, both engines
 //! produce identical rows (see `docs/SOLVER.md`), so the row cache is
-//! shared across them: the strategy is not part of any cache key.
+//! shared across them; a row under a `--max-visits` cap keys on the
+//! engine.
 //!
 //! Every command additionally accepts the telemetry flags `--trace-out
 //! FILE.json` (Chrome-trace of the whole reproduction), `--metrics-out
@@ -364,9 +366,10 @@ fn drive(args: &[String]) -> ExitCode {
                  caching (row commands): --cache-dir DIR — content-addressed on-disk row store;\n\
                  rows render `cache: hit|miss` and the JSON report gains a `cache` key\n\
                  (--budget-ms runs bypass the cache; see docs/SERVING.md)\n\
-                 solver (any command): --solver round-robin|worklist|region-parallel[:N]\n\
-                 fixpoint strategy for every solve in the run; rows and cache keys are\n\
-                 strategy-independent (see docs/SOLVER.md)\n\
+                 solver (any command): --solver round-robin|region-parallel\n\
+                 fixpoint engine for every solve in the run (region-parallel:N and\n\
+                 worklist also select the region engine); uncapped rows and their cache\n\
+                 keys are engine-independent (see docs/SOLVER.md)\n\
                  telemetry flags (any command): --trace-out FILE.json --metrics-out FILE.txt\n\
                  --trace-level off|spans|full (see docs/OBSERVABILITY.md)"
             );

@@ -21,7 +21,7 @@
 //! (statement insertion into one procedure, a fresh declaration that
 //! renumbers the location table, statement duplication) and, for every
 //! mutant that still builds, asserts the equivalence contract — a seeded
-//! incremental re-solve from the base program's converged region-parallel
+//! incremental re-solve from the base program's converged region-engine
 //! solution must match a cold solve of the mutant **byte for byte** (facts,
 //! active set, iteration counts, node visits), without panicking or
 //! hanging.
@@ -526,7 +526,7 @@ fn edit_config(ir: &ProgramIr) -> Option<ActivityConfig> {
 
 fn edit_params(deadline: Duration) -> SolveParams {
     SolveParams {
-        strategy: Strategy::RegionParallel { threads: 2 },
+        strategy: Strategy::Region,
         budget: Budget::unlimited().with_deadline_ms(deadline.as_millis() as u64),
         ..SolveParams::default()
     }
@@ -568,7 +568,7 @@ fn assert_incremental_equivalence(delta: &ActivityResult, cold: &ActivityResult)
 }
 
 /// Push one (base, mutant) pair through the incremental-equivalence
-/// contract: cold region-parallel solve of the base captures seed regions;
+/// contract: cold region-engine solve of the base captures seed regions;
 /// the mutant is re-solved both cold and seeded (dirtying exactly the
 /// procedures [`dirty_procs`] reports as textually changed); the two
 /// results must match byte for byte. Contract violations panic — the

@@ -25,13 +25,16 @@ use mpi_dfa_analyses::governor::{AnalysisProvenance, GovernorConfig, Tier};
 use mpi_dfa_core::budget::BudgetSpent;
 use mpi_dfa_core::cache::DiskStore;
 use mpi_dfa_core::hash::Hasher128;
+use mpi_dfa_core::solver::SolveParams;
 use std::time::Duration;
 
 /// Disk namespace holding serialized rows.
 pub const ROWS_NAMESPACE: &str = "table1-rows";
 
 /// Bump when the record format or key schema changes; old entries miss.
-pub const ROW_SCHEMA_VERSION: u64 = 1;
+/// v2: capped configurations (work cap or non-default pass bound) key on
+/// the solver engine.
+pub const ROW_SCHEMA_VERSION: u64 = 2;
 
 /// A [`DiskStore`]-backed cache of measured Table-1 rows.
 #[derive(Debug)]
@@ -50,9 +53,12 @@ impl RowCache {
     /// The content-addressed key for `spec` under `gov`, or `None` when
     /// the run must bypass the cache (wall-clock deadline budget).
     ///
-    /// The governor's solver `strategy` is deliberately **not** hashed:
-    /// every strategy produces identical rows (`docs/SOLVER.md`), so a row
-    /// computed under one strategy is a valid hit for any other.
+    /// The governor's solver `strategy` is hashed only for **capped**
+    /// configurations (a `max_work` cap or a non-default `max_passes`). An
+    /// uncapped solve reaches the same fixpoint on either engine
+    /// (`docs/SOLVER.md`), so a row computed under one engine is a valid
+    /// hit for the other; a cap stops the engines at different points, so
+    /// a capped row is valid only for its own engine.
     pub fn key(spec: &ExperimentSpec, gov: Option<&GovernorConfig>) -> Option<u128> {
         if gov.is_some_and(|g| g.budget.deadline.is_some()) {
             return None;
@@ -82,6 +88,10 @@ impl RowCache {
                     .write_opt_u64(g.budget.max_fact_bytes)
                     .write_str(&format!("{:?}", g.degrade))
                     .write_u64(g.max_passes as u64);
+                if g.budget.max_work.is_some() || g.max_passes != SolveParams::default().max_passes
+                {
+                    h.write_str(&g.strategy.to_string());
+                }
             }
         }
         Some(h.finish())
@@ -310,12 +320,7 @@ mod tests {
         let spec = by_id("Biostat").unwrap();
         let base = GovernorConfig::default();
         let k0 = RowCache::key(&spec, Some(&base)).unwrap();
-        for strategy in [
-            Strategy::RoundRobin,
-            Strategy::Worklist,
-            Strategy::RegionParallel { threads: 0 },
-            Strategy::RegionParallel { threads: 8 },
-        ] {
+        for strategy in [Strategy::RoundRobin, Strategy::Region] {
             let gov = GovernorConfig {
                 strategy,
                 ..base.clone()
@@ -326,6 +331,60 @@ mod tests {
                 "{strategy} must share the strategy-agnostic row key"
             );
         }
+    }
+
+    #[test]
+    fn capped_rows_are_not_shared_across_engines() {
+        // Regression: a cap stops round-robin and the region engine at
+        // different points, so a capped row cached under one engine must
+        // be a miss for the other, which then stores exactly what a fresh
+        // run computes.
+        use mpi_dfa_core::solver::Strategy;
+        let spec = by_id("LU-1").unwrap();
+        let dir = tmpdir("engines");
+        let cache = RowCache::open(&dir).unwrap();
+        let capped = [
+            GovernorConfig {
+                budget: Budget::unlimited().with_max_work(50),
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                max_passes: 2,
+                ..GovernorConfig::default()
+            },
+        ];
+        for base in capped {
+            let gov = |strategy| GovernorConfig {
+                strategy,
+                ..base.clone()
+            };
+            let (rr, region) = (gov(Strategy::RoundRobin), gov(Strategy::Region));
+            let fresh = |g: &GovernorConfig| {
+                render_row(&runner::run_experiment_governed(&spec, g).unwrap())
+            };
+            let rr_key = RowCache::key(&spec, Some(&rr)).unwrap();
+            cache.put(
+                rr_key,
+                &runner::run_experiment_governed(&spec, &rr).unwrap(),
+            );
+            let region_key = RowCache::key(&spec, Some(&region)).unwrap();
+            assert!(
+                cache.get(region_key, &spec).is_none(),
+                "{base:?}: the region engine must miss the round-robin row"
+            );
+            cache.put(
+                region_key,
+                &runner::run_experiment_governed(&spec, &region).unwrap(),
+            );
+            let stored = render_row(&cache.get(region_key, &spec).unwrap());
+            assert_eq!(stored, fresh(&region));
+            assert_ne!(
+                stored,
+                fresh(&rr),
+                "{base:?}: the engines must answer differently for this test to bite"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

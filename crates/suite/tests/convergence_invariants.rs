@@ -2,14 +2,11 @@
 //!
 //! The unit tests in `mpi-dfa-core` pin the counter semantics on toy
 //! graphs; these tests re-check them where it matters — the Table 1
-//! benchmarks — and add the cross-strategy bound the telemetry layer's
-//! numbers rely on: summed across the suite the FIFO worklist performs no
-//! more node visits than the round-robin sweep it replaces, while producing
-//! the identical fixpoint. (The bound is *aggregate*, not per-program: on
-//! CG's cyclic communication structure the FIFO order re-enqueues comm-edge
-//! successors often enough that one phase visits ~1.4× the nodes a sweep
-//! does — a churn pattern these very telemetry counters made visible. A
-//! per-program 2× sanity factor guards against regressions beyond that.)
+//! benchmarks — and add the cross-engine bound the telemetry layer's
+//! numbers rely on: summed across the suite the region engine performs no
+//! more node visits than the round-robin sweep, while producing the
+//! identical fixpoint. The bound is *aggregate*; a per-program 2× sanity
+//! factor guards each phase of each program on its own.
 
 use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
@@ -43,22 +40,20 @@ fn suite_graphs() -> Vec<(&'static str, MpiIcfg, ActivityConfig)> {
 }
 
 #[test]
-fn worklist_visits_bounded_by_round_robin_on_suite_programs() {
+fn region_visits_bounded_by_round_robin_on_suite_programs() {
     let mut rr_total: u64 = 0;
-    let mut wl_total: u64 = 0;
+    let mut rg_total: u64 = 0;
     for (id, mpi, config) in suite_graphs() {
         let (vary_p, useful_p) =
             vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, &config).expect("problems");
 
-        for (phase, rr, wl) in [
+        for (phase, rr, rg) in [
             (
                 "vary",
                 Solver::new(&vary_p, &mpi)
                     .strategy(Strategy::RoundRobin)
                     .run(),
-                Solver::new(&vary_p, &mpi)
-                    .strategy(Strategy::Worklist)
-                    .run(),
+                Solver::new(&vary_p, &mpi).strategy(Strategy::Region).run(),
             ),
             (
                 "useful",
@@ -66,28 +61,27 @@ fn worklist_visits_bounded_by_round_robin_on_suite_programs() {
                     .strategy(Strategy::RoundRobin)
                     .run(),
                 Solver::new(&useful_p, &mpi)
-                    .strategy(Strategy::Worklist)
+                    .strategy(Strategy::Region)
                     .run(),
             ),
         ] {
-            assert!(rr.stats.converged && wl.stats.converged, "{id}");
+            assert!(rr.stats.converged && rg.stats.converged, "{id}");
             assert_eq!(
-                rr.input, wl.input,
-                "{id} {phase}: strategies must agree on the fixpoint"
+                rr.input, rg.input,
+                "{id} {phase}: engines must agree on the fixpoint"
             );
-            assert_eq!(rr.output, wl.output, "{id} {phase}");
+            assert_eq!(rr.output, rg.output, "{id} {phase}");
             rr_total += rr.stats.node_visits;
-            wl_total += wl.stats.node_visits;
-            // Per-program sanity factor (see module docs: CG's vary phase
-            // legitimately exceeds 1× under FIFO ordering).
+            rg_total += rg.stats.node_visits;
+            // Per-program sanity factor (see module docs).
             assert!(
-                wl.stats.node_visits <= 2 * rr.stats.node_visits,
-                "{id} {phase}: worklist {} visits > 2x round-robin {}",
-                wl.stats.node_visits,
+                rg.stats.node_visits <= 2 * rr.stats.node_visits,
+                "{id} {phase}: region {} visits > 2x round-robin {}",
+                rg.stats.node_visits,
                 rr.stats.node_visits
             );
             // Counter bookkeeping holds on real graphs, not just toys.
-            for s in [&rr.stats, &wl.stats] {
+            for s in [&rr.stats, &rg.stats] {
                 assert_eq!(
                     s.per_node_visits.iter().sum::<u64>(),
                     s.node_visits,
@@ -109,17 +103,17 @@ fn worklist_visits_bounded_by_round_robin_on_suite_programs() {
                 "{id} {phase}: a converged round-robin run ends with a zero-delta pass"
             );
             assert!(
-                wl.stats.worklist_peak > 0 && rr.stats.worklist_peak == 0,
-                "{id} {phase}: only the worklist strategy has a queue"
+                rg.stats.worklist_peak > 0 && rr.stats.worklist_peak == 0,
+                "{id} {phase}: only the region engine has a queue"
             );
         }
     }
-    // The aggregate bound: across the whole suite the FIFO worklist does
-    // strictly less work than the sweep, even though CG's vary phase locally
-    // exceeds it.
+    // The aggregate bound: across the whole suite the region engine does
+    // no more work than the sweep.
     assert!(
-        wl_total <= rr_total,
-        "summed across the suite the worklist must not exceed round-robin: {wl_total} > {rr_total}"
+        rg_total <= rr_total,
+        "summed across the suite the region engine must not exceed round-robin: \
+         {rg_total} > {rr_total}"
     );
 }
 
@@ -128,12 +122,11 @@ fn absorb_is_order_independent_across_benchmark_stats() {
     // Absorbing the per-benchmark stats in any order yields the same
     // counters — the property that makes cross-run metric aggregation in
     // the telemetry sink well-defined. Mixing in stats produced by the
-    // region-parallel engine (which itself merges per-region stats in
-    // region-id order) extends the PR-3 property to parallel-merged
-    // inputs: absorbing sequential and parallel-produced stats together
-    // must stay order-independent.
+    // region engine (which itself merges per-region stats in region-id
+    // order) extends the property to region-merged inputs: absorbing both
+    // engines' stats together must stay order-independent.
     let mut stats: Vec<ConvergenceStats> = Vec::new();
-    for (i, (_, mpi, config)) in suite_graphs().iter().enumerate() {
+    for (_, mpi, config) in suite_graphs().iter() {
         let (vary_p, _) = vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, config).unwrap();
         stats.push(
             Solver::new(&vary_p, mpi)
@@ -141,13 +134,9 @@ fn absorb_is_order_independent_across_benchmark_stats() {
                 .run()
                 .stats,
         );
-        // Alternate the thread count so the absorbed set contains stats
-        // merged from differently-scheduled parallel runs.
         stats.push(
             Solver::new(&vary_p, mpi)
-                .strategy(Strategy::RegionParallel {
-                    threads: 1 + (i % 8),
-                })
+                .strategy(Strategy::Region)
                 .run()
                 .stats,
         );

@@ -1,13 +1,13 @@
-//! Cross-strategy equivalence on the Table-1 benchmarks — the PR-5
-//! determinism contract, checked where it matters.
+//! Cross-engine equivalence on the Table-1 benchmarks, checked where it
+//! matters.
 //!
 //! Every Table-1 program (Biostat, SOR, CG, LU, MG, Sweep3d) × the two
 //! nonseparable analyses the paper runs (reaching constants; Vary/Useful
-//! activity, i.e. both solver directions) × all three strategies × region-
-//! parallel thread counts {1, 2, 8} must produce **identical** `Solution`
-//! facts. Parallelism may change wall-clock and scheduling stats — never
-//! facts. The same runs also re-check the `ConvergenceStats` bookkeeping
-//! invariants under every strategy.
+//! activity, i.e. both solver directions) × both engines must produce
+//! **identical** `Solution` facts: the region engine against the
+//! round-robin reference, byte for byte. The engine may change wall-clock
+//! and iteration stats — never facts. The same runs also re-check the
+//! `ConvergenceStats` bookkeeping invariants under both engines.
 
 use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::consts::ReachingConsts;
@@ -20,17 +20,6 @@ use mpi_dfa_suite::{all_experiments, programs};
 /// One row per distinct benchmark program — together these cover every
 /// program in Table 1.
 const ROWS: &[&str] = &["Biostat", "SOR", "CG", "LU-1", "MG-1", "Sw-1"];
-
-/// The strategy matrix under test: the region-parallel engine at several
-/// thread counts (1 = degenerate pool, 2 = small, 8 = oversubscribed on CI
-/// hardware) against both sequential baselines.
-fn strategies() -> Vec<Strategy> {
-    let mut v = vec![Strategy::RoundRobin, Strategy::Worklist];
-    for threads in [1usize, 2, 8] {
-        v.push(Strategy::RegionParallel { threads });
-    }
-    v
-}
 
 fn check_stats_invariants(id: &str, label: &str, strategy: Strategy, stats: &ConvergenceStats) {
     assert!(stats.converged, "{id} {label} [{strategy}] must converge");
@@ -49,32 +38,32 @@ fn check_stats_invariants(id: &str, label: &str, strategy: Strategy, stats: &Con
     );
 }
 
-/// Solve `problem` over `mpi` under every strategy and assert the facts are
-/// identical to the worklist reference, byte for byte.
-fn assert_all_strategies_agree<P>(id: &str, label: &str, mpi: &MpiIcfg, problem: &P)
+/// Solve `problem` over `mpi` under both engines and assert the region
+/// engine's facts are identical to the round-robin reference, byte for
+/// byte.
+fn assert_engines_agree<P>(id: &str, label: &str, mpi: &MpiIcfg, problem: &P)
 where
-    P: Dataflow + Sync,
-    P::Fact: std::fmt::Debug + PartialEq + Send,
-    P::CommFact: Send,
+    P: Dataflow,
+    P::Fact: std::fmt::Debug + PartialEq,
 {
-    let reference: Solution<P::Fact> = Solver::new(problem, mpi).strategy(Strategy::Worklist).run();
-    check_stats_invariants(id, label, Strategy::Worklist, &reference.stats);
-    for strategy in strategies() {
-        let sol = Solver::new(problem, mpi).strategy(strategy).run();
-        check_stats_invariants(id, label, strategy, &sol.stats);
-        assert_eq!(
-            sol.input, reference.input,
-            "{id} {label} [{strategy}]: IN facts must match the worklist"
-        );
-        assert_eq!(
-            sol.output, reference.output,
-            "{id} {label} [{strategy}]: OUT facts must match the worklist"
-        );
-    }
+    let reference: Solution<P::Fact> = Solver::new(problem, mpi)
+        .strategy(Strategy::RoundRobin)
+        .run();
+    check_stats_invariants(id, label, Strategy::RoundRobin, &reference.stats);
+    let sol = Solver::new(problem, mpi).strategy(Strategy::Region).run();
+    check_stats_invariants(id, label, Strategy::Region, &sol.stats);
+    assert_eq!(
+        sol.input, reference.input,
+        "{id} {label}: region IN facts must match round-robin"
+    );
+    assert_eq!(
+        sol.output, reference.output,
+        "{id} {label}: region OUT facts must match round-robin"
+    );
 }
 
 #[test]
-fn every_table1_program_and_analysis_agrees_across_strategies_and_threads() {
+fn every_table1_program_and_analysis_agrees_across_engines() {
     for spec in all_experiments().iter().filter(|s| ROWS.contains(&s.id)) {
         let ir = programs::ir(spec.program);
         let mpi = build_mpi_icfg(
@@ -87,23 +76,22 @@ fn every_table1_program_and_analysis_agrees_across_strategies_and_threads() {
 
         // Reaching constants over the MPI-ICFG (forward, nonseparable).
         let consts = ReachingConsts::new(mpi.icfg());
-        assert_all_strategies_agree(spec.id, "consts", &mpi, &consts);
+        assert_engines_agree(spec.id, "consts", &mpi, &consts);
 
         // Activity: Vary (forward) and Useful (backward) — both solver
         // directions over communication edges.
         let config = ActivityConfig::new(spec.independents.to_vec(), spec.dependents.to_vec());
         let (vary_p, useful_p) =
             vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, &config).expect("problems");
-        assert_all_strategies_agree(spec.id, "vary", &mpi, &vary_p);
-        assert_all_strategies_agree(spec.id, "useful", &mpi, &useful_p);
+        assert_engines_agree(spec.id, "vary", &mpi, &vary_p);
+        assert_engines_agree(spec.id, "useful", &mpi, &useful_p);
     }
 }
 
 #[test]
-fn region_parallel_stats_on_benchmarks_are_thread_count_invariant() {
+fn region_stats_on_benchmarks_are_deterministic() {
     // Everything except wall-clock: the per-region merge in region-id order
-    // makes the published counters a deterministic function of the graph,
-    // not of the scheduler interleaving.
+    // makes the published counters a deterministic function of the graph.
     let spec = all_experiments()
         .iter()
         .find(|s| s.id == "CG")
@@ -118,26 +106,13 @@ fn region_parallel_stats_on_benchmarks_are_thread_count_invariant() {
     )
     .unwrap();
     let consts = ReachingConsts::new(mpi.icfg());
-    let norm = |mut s: ConvergenceStats| {
+    let stats = || {
+        let mut s = Solver::new(&consts, &mpi)
+            .strategy(Strategy::Region)
+            .run()
+            .stats;
         s.elapsed = std::time::Duration::ZERO;
         s
     };
-    let base = norm(
-        Solver::new(&consts, &mpi)
-            .strategy(Strategy::RegionParallel { threads: 1 })
-            .run()
-            .stats,
-    );
-    for threads in [2usize, 8] {
-        let s = norm(
-            Solver::new(&consts, &mpi)
-                .strategy(Strategy::RegionParallel { threads })
-                .run()
-                .stats,
-        );
-        assert_eq!(
-            s, base,
-            "region-parallel stats must not depend on the thread count ({threads})"
-        );
-    }
+    assert_eq!(stats(), stats(), "region stats must not vary run to run");
 }

@@ -286,13 +286,12 @@ fn chrome_trace_from_cg_and_lu_repro_is_valid_and_complete() {
         names.push(e.get("name").and_then(Json::as_str).expect("name"));
     }
     assert_eq!(begins, ends, "every span must open and close");
-    // The fixpoint span name depends on the strategy the run solved under,
-    // which CI varies via `MPIDFA_SOLVER` (the solver-parallel job runs the
-    // whole suite with the region-parallel default).
+    // The fixpoint span name depends on the engine the run solved under,
+    // which CI varies via `MPIDFA_SOLVER` (the region-engine job runs the
+    // whole suite with the region engine as the default).
     let fixpoint_span = match Strategy::session_default() {
         Strategy::RoundRobin => "fixpoint:round_robin",
-        Strategy::Worklist => "fixpoint:worklist",
-        Strategy::RegionParallel { .. } => "fixpoint:region_parallel",
+        Strategy::Region => "fixpoint:region_parallel",
     };
     for required in [
         "compile",

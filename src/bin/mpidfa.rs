@@ -894,11 +894,12 @@ fn usage() -> String {
                   reorder=P,delay=P,max_delay=US,stagger=US,dup=P,drop=P`\n\
                   (--max-steps / --recv-timeout-ms override the documented\n\
                   RuntimeLimits defaults: 20000000 steps, 10000 ms)\n\
-     solver (every command): [--solver round-robin|worklist|region-parallel[:N]]\n\
-                  fixpoint strategy for all analyses in this invocation\n\
+     solver (every command): [--solver round-robin|region-parallel]\n\
+                  fixpoint engine for all analyses in this invocation\n\
                   (default: $MPIDFA_SOLVER, else round-robin; `region-parallel`\n\
-                  without `:N` sizes the pool from available parallelism; all\n\
-                  strategies produce identical facts — see docs/SOLVER.md)\n\
+                  is the sequential SCC-region engine, also accepted as\n\
+                  `region-parallel:N` or `worklist`; both engines produce\n\
+                  identical facts — see docs/SOLVER.md)\n\
      telemetry (every command): [--trace-out FILE.json] [--metrics-out FILE.txt]\n\
                   [--trace-level off|spans|full]\n\
                   --trace-out writes a Chrome-trace (chrome://tracing, Perfetto);\n\
